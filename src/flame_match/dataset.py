@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -141,10 +142,11 @@ def load_csv(path, schema: DatasetSchema, encodings: dict[str, list[str]] | None
     """Load a UTF-8 CSV with a header row into an encoded :class:`Dataset`.
 
     Covariate columns are categorically encoded in first-appearance order.
-    Rows with a missing value in any used cell are rejected with the row
-    number rather than imputed. Pass ``encodings`` (name -> category list,
-    e.g. from a previously loaded file's dataset) to reuse an encoding; an
-    unseen category then raises :class:`DataError`.
+    Rows with a missing value in any used cell, or an outcome that is not a
+    finite number, are rejected with the row number rather than imputed. Pass
+    ``encodings`` (name -> category list, e.g. from a previously loaded
+    file's dataset) to reuse an encoding; an unseen category then raises
+    :class:`DataError`.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -194,9 +196,12 @@ def load_csv(path, schema: DatasetSchema, encodings: dict[str, list[str]] | None
             raise DataError(f"row {r}: treatment value {t_raw!r} is not 0/1")
         treatment[r - 1] = int(t_raw)
         try:
-            outcome[r - 1] = float(row[y_idx])
+            y = float(row[y_idx])
         except ValueError:
-            raise DataError(f"row {r}: outcome value {row[y_idx]!r} is not a number") from None
+            y = math.nan
+        if not math.isfinite(y):
+            raise DataError(f"row {r}: outcome value {row[y_idx]!r} is not a finite number")
+        outcome[r - 1] = y
         for k, idx in enumerate(cov_idx):
             raw = row[idx].strip()
             cmap = code_maps[k]

@@ -2,10 +2,16 @@
 
 Two interchangeable backends produce identical group partitions:
 
-* ``mixed_radix``: each unit's active codes collapse into one integer key
-  (arity-sorted positional weights), so grouping is integer counting; and
+* ``mixed_radix``: each unit's active codes fold, most significant first,
+  into one dense int64 group id numbered in lexicographic signature order
+  (:func:`_group_ids`); per-group arm counts from ``np.bincount`` then give
+  the matched flags and the group table in one pass; and
 * ``tuple_key``: plain dict grouping on the full code tuples, kept as the
   slow independent reference.
+
+:func:`mixed_radix_keys` and :func:`count_and_flag` keep the paper's
+positional-key formulation (a unit is matched iff its covariate-key count
+differs from its covariate+treatment-key count) as a public reference.
 
 Also emits the equivalent two-statement SQL text for engines that prefer to
 run the grouping as a ``GROUP BY``/``UPDATE`` against a live table.
@@ -13,12 +19,10 @@ run the grouping as a ``GROUP BY``/``UPDATE`` against a live table.
 
 from __future__ import annotations
 
-from collections import Counter
 from dataclasses import dataclass
 
 import numpy as np
 
-from . import _kernels
 from .dataset import Dataset
 from .errors import EmissionError
 
@@ -50,58 +54,29 @@ class UnitKeys:
     b_plus: np.ndarray
     c: np.ndarray | None = None
     c_plus: np.ndarray | None = None
-    b_bound: int | None = None
-    b_plus_bound: int | None = None
-
-
-def _radix_weights(arities) -> tuple[list[int], list[int], int, int]:
-    """Positional weights for sorted arities h_0 <= h_1 <= ...
-
-    Digit k of ``b`` weighs h_k^k; in ``b_plus`` the treatment bit takes the
-    ones place and digit k shifts up to h_k^(k+1). Also returns the exclusive
-    upper bounds of both keys (they pick the int64 fast path and the
-    bincount counting regime).
-    """
-    w_b, w_plus = [], []
-    max_b, max_plus = 0, 1
-    for k, h in enumerate(arities):
-        h = int(h)
-        w_b.append(h**k)
-        w_plus.append(h ** (k + 1))
-        max_b += (h - 1) * h**k
-        max_plus += (h - 1) * h ** (k + 1)
-    return w_b, w_plus, max_b + 1, max_plus + 1
 
 
 def mixed_radix_keys(d: Dataset, active, rows=None) -> UnitKeys:
     """Collapse the active covariate codes of each unit into integer keys.
 
-    Requires the active covariates to be in non-decreasing arity order (the
-    order that makes key equality coincide with tuple equality), which holds
-    for any increasing index subset of an arity-sorted dataset. Keys are
-    exact: a machine-int path is used only when the largest possible key fits
-    in int64, otherwise arbitrary-width Python integers take over.
+    Digit k (arity h_k) weighs h_k^k in ``b``; in ``b_plus`` the treatment
+    bit takes the ones place and digit k weighs h_k^(k+1). Requires the
+    active covariates to be in non-decreasing arity order (the order that
+    makes key equality coincide with tuple equality), which holds for any
+    increasing index subset of an arity-sorted dataset. Keys are exact: they
+    are int64 when the largest possible key fits, Python integers otherwise.
     """
-    active = check_active(active, d.n_covariates)
-    return _ordered_keys(d, active, rows)
-
-
-def _ordered_keys(d: Dataset, order, rows=None) -> UnitKeys:
-    """Key computation for an explicit digit order (least significant first)."""
-    arities = [int(d.arities[a]) for a in order]
+    active = list(check_active(active, d.n_covariates))
+    arities = [int(d.arities[a]) for a in active]
     if any(b < a for a, b in zip(arities, arities[1:])):
         raise ValueError(f"active covariates must be sorted by non-decreasing arity, got {arities}")
-    order = list(order)
-    codes = d.covariates[:, order] if rows is None else d.covariates[np.asarray(rows)][:, order]
+    codes = d.covariates[:, active] if rows is None else d.covariates[np.asarray(rows)][:, active]
     t = d.treatment if rows is None else d.treatment[np.asarray(rows)]
-    w_b, w_plus, bound_b, bound_plus = _radix_weights(arities)
-    if bound_plus <= INT64_MAX:
-        wb = np.asarray(w_b, dtype=np.int64)
-        wp = np.asarray(w_plus, dtype=np.int64)
-        b = codes @ wb
-        b_plus = t + codes @ wp
-        return UnitKeys(b=b, b_plus=b_plus, b_bound=bound_b, b_plus_bound=bound_plus)
-    # big-key fallback: exact Python ints in object arrays
+    w_b = [h**k for k, h in enumerate(arities)]
+    w_plus = [h ** (k + 1) for k, h in enumerate(arities)]
+    if 1 + sum((h - 1) * w for h, w in zip(arities, w_plus)) <= INT64_MAX:
+        b = codes @ np.asarray(w_b, dtype=np.int64)
+        return UnitKeys(b=b, b_plus=t + codes @ np.asarray(w_plus, dtype=np.int64))
     rows_list = codes.tolist()
     b = np.array([sum(a * w for a, w in zip(r, w_b)) for r in rows_list], dtype=object)
     b_plus = np.array(
@@ -111,11 +86,10 @@ def _ordered_keys(d: Dataset, order, rows=None) -> UnitKeys:
     return UnitKeys(b=b, b_plus=b_plus)
 
 
-def _counts(keys: np.ndarray, bound=None) -> np.ndarray:
-    if keys.dtype == object:
-        tally = Counter(keys.tolist())
-        return np.array([tally[k] for k in keys.tolist()], dtype=np.int64)
-    return _kernels.occurrence_counts(keys, bound)
+def _occurrences(keys: np.ndarray) -> np.ndarray:
+    """counts[i] = number of occurrences of keys[i] within keys."""
+    _, inverse, counts = np.unique(keys, return_inverse=True, return_counts=True)
+    return counts[inverse]
 
 
 def count_and_flag(keys: UnitKeys, considered=None) -> tuple[np.ndarray, UnitKeys]:
@@ -126,16 +100,53 @@ def count_and_flag(keys: UnitKeys, considered=None) -> tuple[np.ndarray, UnitKey
     treatment values among the considered units.
     """
     n = len(keys.b)
-    if considered is None:
-        considered = np.arange(n)
-    else:
-        considered = np.asarray(considered)
+    considered = np.arange(n) if considered is None else np.asarray(considered)
     c = np.zeros(n, dtype=np.int64)
     c_plus = np.zeros(n, dtype=np.int64)
-    c[considered] = _counts(keys.b[considered], keys.b_bound)
-    c_plus[considered] = _counts(keys.b_plus[considered], keys.b_plus_bound)
+    c[considered] = _occurrences(keys.b[considered])
+    c_plus[considered] = _occurrences(keys.b_plus[considered])
     flags = c != c_plus
     return flags, UnitKeys(b=keys.b, b_plus=keys.b_plus, c=c, c_plus=c_plus)
+
+
+def _renumber(ids: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
+    """Map ids in ``[0, bound)`` onto ``0..k-1`` (k distinct values), keeping their order."""
+    if bound <= max(8 * ids.size, 1 << 16):
+        seen = np.zeros(bound, dtype=bool)
+        seen[ids] = True
+        rank = np.cumsum(seen) - 1
+        return rank[ids], int(rank[-1]) + 1
+    uniq, inverse = np.unique(ids, return_inverse=True)
+    return inverse.astype(np.int64, copy=False), uniq.size
+
+
+def _group_ids(d: Dataset, rows: np.ndarray, active: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """Dense int64 id per row of its signature on ``active``, plus the id count.
+
+    Codes fold most significant first (``id = id * h + code``), so ids follow
+    the lexicographic order of the signatures. Whenever the next digit could
+    overflow int64 the running ids are renumbered densely first; renumbering
+    keeps their order, so the ids stay exact.
+    """
+    codes = d.covariates[rows][:, list(active)]
+    gid = np.zeros(rows.size, dtype=np.int64)
+    bound = 1
+    for k, a in enumerate(active):
+        h = int(d.arities[a])
+        if bound * h > INT64_MAX:
+            gid, bound = _renumber(gid, bound)
+        gid *= h
+        gid += codes[:, k]
+        bound *= h
+    return _renumber(gid, bound)
+
+
+def _arm_counts(d: Dataset, considered: np.ndarray, active: tuple[int, ...]):
+    """Group ids of the considered rows and, per group, its size and treated count."""
+    gid, n_groups = _group_ids(d, considered, active)
+    sizes = np.bincount(gid, minlength=n_groups)
+    treated = np.bincount(gid[d.treatment[considered] == 1], minlength=n_groups)
+    return gid, sizes, treated
 
 
 @dataclass(frozen=True)
@@ -167,12 +178,6 @@ class MatchResult:
     remainder: np.ndarray
 
 
-def _arity_order(d: Dataset, active: tuple[int, ...]) -> list[int]:
-    # stable sort of the active subset by arity; key equality is unaffected
-    # by digit order, only the injectivity argument needs it
-    return sorted(active, key=lambda a: (int(d.arities[a]), a))
-
-
 def match_flags(d: Dataset, considered, active, backend: str = "mixed_radix"):
     """Matched-or-not flags over ``considered`` plus per-arm matched counts.
 
@@ -185,10 +190,8 @@ def match_flags(d: Dataset, considered, active, backend: str = "mixed_radix"):
         empty = np.zeros(0, dtype=bool)
         return empty, 0, 0
     if backend == "mixed_radix":
-        keys = _ordered_keys(d, _arity_order(d, active), rows=considered)
-        c = _counts(keys.b, keys.b_bound)
-        c_plus = _counts(keys.b_plus, keys.b_plus_bound)
-        flags = c != c_plus
+        gid, sizes, treated = _arm_counts(d, considered, active)
+        flags = ((treated > 0) & (treated < sizes))[gid]
     elif backend == "tuple_key":
         tallies: dict[tuple, list[int]] = {}
         codes = d.covariates[considered][:, active].tolist()
@@ -229,34 +232,29 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
             n_t = int(d.treatment[rows].sum())
             if 1 <= n_t <= len(rows) - 1:
                 groups.append(Group(sig, tuple(rows), n_t, len(rows) - n_t))
+        matched = np.array(sorted(r for g in groups for r in g.rows), dtype=np.int64)
+        remainder = considered[~np.isin(considered, matched, assume_unique=True)]
     elif backend == "mixed_radix":
-        keys = _ordered_keys(d, _arity_order(d, active), rows=considered)
-        c = _counts(keys.b, keys.b_bound)
-        c_plus = _counts(keys.b_plus, keys.b_plus_bound)
-        flags = c != c_plus
+        gid, sizes, treated = _arm_counts(d, considered, active)
+        valid = (treated > 0) & (treated < sizes)
+        flags = valid[gid]
+        # a stable sort of the hit ids lists each group's rows in considered
+        # order, and the groups themselves in signature order
         hit = considered[flags]
-        groups = []
-        if hit.size:
-            hit_keys = keys.b[flags]
-            if hit_keys.dtype == object:
-                runs: dict[object, list[int]] = {}
-                for pos, k in zip(hit.tolist(), hit_keys.tolist()):
-                    runs.setdefault(k, []).append(pos)
-                chunks = list(runs.values())
-            else:
-                order, starts = _kernels.sorted_runs(hit_keys)
-                chunks = [hit[order[starts[g] : starts[g + 1]]].tolist() for g in range(len(starts) - 1)]
-            for rows in chunks:
-                sig = tuple(int(v) for v in d.covariates[rows[0], active])
-                n_t = int(d.treatment[rows].sum())
-                groups.append(Group(sig, tuple(rows), n_t, len(rows) - n_t))
-            groups.sort(key=lambda g: g.signature)
+        members = hit[np.argsort(gid[flags], kind="stable")]
+        ids = np.flatnonzero(valid)
+        sizes, treated = sizes[ids], treated[ids]
+        starts = np.cumsum(sizes) - sizes
+        signatures = d.covariates[np.ix_(members[starts], active)].tolist()
+        groups = [
+            Group(tuple(sig), tuple(rows.tolist()), nt, size - nt)
+            for sig, rows, nt, size in zip(signatures, np.split(members, starts[1:]), treated.tolist(), sizes.tolist())
+        ]
+        matched = np.sort(hit)
+        remainder = considered[~flags]
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
-    matched = np.array(sorted(r for g in groups for r in g.rows), dtype=np.int64)
-    mask = np.isin(considered, matched, assume_unique=True)
-    remainder = considered[~mask]
     return MatchResult(matched, GroupTable(active, tuple(groups)), remainder)
 
 

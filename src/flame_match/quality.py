@@ -2,15 +2,13 @@
 
 The prediction error fits one outcome model per treatment arm on the holdout,
 restricted to the active covariates, and sums the two arms' mean squared
-residuals. The default model is linear least squares on the raw codes with an
-intercept and a tiny ridge term; anything satisfying :class:`OutcomePredictor`
-can be plugged in instead.
+residuals. The model is fixed: linear least squares on the raw codes with an
+intercept and a tiny ridge term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Protocol
 
 import numpy as np
 
@@ -21,33 +19,17 @@ from .grouper import check_active
 DEFAULT_RIDGE = 1e-6
 
 
-class OutcomePredictor(Protocol):
-    """Per-arm outcome model contract: fit on (X, y), then predict."""
-
-    def fit(self, X: np.ndarray, y: np.ndarray): ...
-
-    def predict(self, model, X: np.ndarray) -> np.ndarray: ...
-
-
-class LinearRidgePredictor:
+def _fit(X: np.ndarray, y: np.ndarray, ridge: float = DEFAULT_RIDGE) -> np.ndarray:
     """Least squares with intercept; ridge on non-intercept weights only.
 
     The ridge keeps the normal equations solvable after covariate drops leave
     an arm with fewer units than coefficients.
     """
-
-    def __init__(self, ridge: float = DEFAULT_RIDGE):
-        self.ridge = ridge
-
-    def fit(self, X, y):
-        n, m = X.shape
-        Z = np.column_stack([np.ones(n), X.astype(np.float64)])
-        G = Z.T @ Z
-        G[1:, 1:] += self.ridge * np.eye(m)
-        return np.linalg.solve(G, Z.T @ y)
-
-    def predict(self, coeffs, X):
-        return coeffs[0] + X.astype(np.float64) @ coeffs[1:]
+    n, m = X.shape
+    Z = np.column_stack([np.ones(n), X.astype(np.float64)])
+    G = Z.T @ Z
+    G[1:, 1:] += ridge * np.eye(m)
+    return np.linalg.solve(G, Z.T @ y)
 
 
 @dataclass(frozen=True)
@@ -81,39 +63,41 @@ def _check_quality_active(active, p) -> tuple[int, ...]:
 
 
 def fit_predictor(holdout: Dataset, active, ridge: float = DEFAULT_RIDGE) -> PredictorPair:
-    """Fit the default linear model per arm on the active covariate codes."""
+    """Fit the linear model per arm on the active covariate codes."""
     active = _check_quality_active(active, holdout.n_covariates)
     control, treated = _arm_rows(holdout)
     X = holdout.covariates[:, list(active)]
-    predictor = LinearRidgePredictor(ridge)
     return PredictorPair(
-        model_control=predictor.fit(X[control], holdout.outcome[control]),
-        model_treatment=predictor.fit(X[treated], holdout.outcome[treated]),
+        model_control=_fit(X[control], holdout.outcome[control], ridge),
+        model_treatment=_fit(X[treated], holdout.outcome[treated], ridge),
     )
 
 
-def arm_prediction_errors(holdout: Dataset, active, predictor: OutcomePredictor | None = None):
-    """Mean squared residual of each arm's own model: (control, treated)."""
+def _arm_residuals(holdout: Dataset, active) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of each arm's own fitted model on its holdout units: (control, treated)."""
     active = _check_quality_active(active, holdout.n_covariates)
     control, treated = _arm_rows(holdout)
-    predictor = predictor or LinearRidgePredictor()
     X = holdout.covariates[:, list(active)]
     y = holdout.outcome
     out = []
     for rows in (control, treated):
-        model = predictor.fit(X[rows], y[rows])
-        resid = y[rows] - predictor.predict(model, X[rows])
-        out.append(float(np.mean(resid**2)))
+        coeffs = _fit(X[rows], y[rows])
+        out.append(y[rows] - (coeffs[0] + X[rows].astype(np.float64) @ coeffs[1:]))
     return tuple(out)
 
 
-def prediction_error(holdout: Dataset, active, predictor: OutcomePredictor | None = None) -> float:
+def arm_prediction_errors(holdout: Dataset, active):
+    """Mean squared residual of each arm's own model: (control, treated)."""
+    return tuple(float(np.mean(resid**2)) for resid in _arm_residuals(holdout, active))
+
+
+def prediction_error(holdout: Dataset, active) -> float:
     """Sum of the two arms' mean squared residuals on the holdout."""
-    pe_control, pe_treated = arm_prediction_errors(holdout, active, predictor)
+    pe_control, pe_treated = arm_prediction_errors(holdout, active)
     return pe_control + pe_treated
 
 
-def pooled_prediction_error(holdout: Dataset, active, predictor: OutcomePredictor | None = None) -> float:
+def pooled_prediction_error(holdout: Dataset, active) -> float:
     """Single mean squared residual over all holdout units, per-arm models.
 
     This is the squared-error risk of the best per-arm fit, the quantity that
@@ -122,15 +106,8 @@ def pooled_prediction_error(holdout: Dataset, active, predictor: OutcomePredicto
     covariates). The per-arm-normalized :func:`prediction_error` equals twice
     this value on a balanced holdout.
     """
-    active = _check_quality_active(active, holdout.n_covariates)
-    control, treated = _arm_rows(holdout)
-    predictor = predictor or LinearRidgePredictor()
-    X = holdout.covariates[:, list(active)]
-    y = holdout.outcome
     total = 0.0
-    for rows in (control, treated):
-        model = predictor.fit(X[rows], y[rows])
-        resid = y[rows] - predictor.predict(model, X[rows])
+    for resid in _arm_residuals(holdout, active):
         total += float(np.sum(resid**2))
     return total / holdout.n_units
 

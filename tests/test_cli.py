@@ -175,3 +175,23 @@ def test_sql_emit_empty_covariates(capsys):
     code, _, err = run_cli(capsys, "sql-emit", "--covariates", "", "--level", "1")
     assert code == EXIT_USAGE
     assert len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
+def test_match_non_finite_outcome_is_data_error(bad, tmp_path, capsys, write_csv):
+    rows = [[i % 2, (i // 2) % 2, i % 2, float(i)] for i in range(60)]
+    rows[41][3] = bad
+    path = write_csv("nan.csv", ["a", "b", "T", "Y"], rows)
+    out_path = tmp_path / "run.json"
+    code, _, err = run_cli(
+        capsys,
+        "match",
+        "--input", path,
+        "--holdout-frac", "0.25",
+        "--treatment", "T",
+        "--outcome", "Y",
+        "--output", str(out_path),
+    )
+    assert code == EXIT_DATA
+    assert "row 42" in err and len(err.strip().splitlines()) == 1
+    assert not out_path.exists()

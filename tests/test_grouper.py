@@ -7,6 +7,7 @@ from conftest import random_dataset
 from flame_match.dataset import Dataset, sort_covariates_by_arity
 from flame_match.errors import EmissionError
 from flame_match.grouper import (
+    _group_ids,
     basic_exact_match,
     count_and_flag,
     emit_sql,
@@ -139,6 +140,9 @@ def test_backend_equivalence_random():
         assert _tables_equal(res_a.table, res_b.table)
         assert np.array_equal(res_a.matched, res_b.matched)
         assert np.array_equal(res_a.remainder, res_b.remainder)
+        flags_a, *counts_a = match_flags(d, considered, active, backend="mixed_radix")
+        flags_b, *counts_b = match_flags(d, considered, active, backend="tuple_key")
+        assert np.array_equal(flags_a, flags_b) and counts_a == counts_b
 
 
 def test_big_key_fallback_matches_tuple_backend():
@@ -161,6 +165,63 @@ def test_big_key_fallback_matches_tuple_backend():
     res_a = basic_exact_match(d, np.arange(n), active, backend="mixed_radix")
     res_b = basic_exact_match(d, np.arange(n), active, backend="tuple_key")
     assert _tables_equal(res_a.table, res_b.table)
+
+
+@pytest.mark.parametrize("p, arity", [(70, 2), (12, 50)])
+def test_renumbering_matches_tuple_backend(p, arity):
+    # arity**p exceeds int64, so group ids are renumbered while folding
+    rng = np.random.default_rng(p)
+    base = rng.integers(0, arity, size=(15, p))
+    covs = np.vstack([base[rng.integers(0, 15, size=50)], rng.integers(0, arity, size=(10, p))])
+    n = len(covs)
+    d = Dataset(
+        covariates=covs,
+        arities=np.full(p, arity),
+        treatment=rng.integers(0, 2, size=n),
+        outcome=np.zeros(n),
+        covariate_names=tuple(f"c{i}" for i in range(p)),
+        unit_ids=np.arange(n),
+    )
+    considered, active = np.arange(n), tuple(range(p))
+    gid, n_groups = _group_ids(d, considered, active)
+    sigs = [tuple(r) for r in covs.tolist()]
+    assert gid.dtype == np.int64 and n_groups == len(set(sigs)) == gid.max() + 1
+    for u in range(n):
+        for v in range(n):
+            assert (gid[u] < gid[v]) == (sigs[u] < sigs[v])
+    res_a = basic_exact_match(d, considered, active, backend="mixed_radix")
+    res_b = basic_exact_match(d, considered, active, backend="tuple_key")
+    assert len(res_a.table) > 0 and _tables_equal(res_a.table, res_b.table)
+    assert np.array_equal(res_a.matched, res_b.matched)
+    assert np.array_equal(res_a.remainder, res_b.remainder)
+    flags_a, *counts_a = match_flags(d, considered, active, backend="mixed_radix")
+    flags_b, *counts_b = match_flags(d, considered, active, backend="tuple_key")
+    assert np.array_equal(flags_a, flags_b) and counts_a == counts_b
+
+
+def test_count_and_flag_brute_force_occurrences():
+    rng = np.random.default_rng(0)
+    wide = np.repeat(rng.integers(0, 2, size=(5, 63)), 3, axis=0)
+    datasets = [sort_covariates_by_arity(random_dataset(rng, n=n, p=3))[0] for n in (1, 7, 1000)]
+    datasets.append(
+        Dataset(
+            covariates=wide,
+            arities=np.full(63, 2),
+            treatment=rng.integers(0, 2, size=15),
+            outcome=np.zeros(15),
+            covariate_names=tuple(f"c{i}" for i in range(63)),
+            unit_ids=np.arange(15),
+        )
+    )
+    for d in datasets:
+        keys = mixed_radix_keys(d, tuple(range(d.n_covariates)))
+        for considered in (np.arange(d.n_units), np.flatnonzero(rng.random(d.n_units) < 0.5)):
+            flags, counted = count_and_flag(keys, considered)
+            inside = np.isin(np.arange(d.n_units), considered)
+            for key, counts in ((keys.b, counted.c), (keys.b_plus, counted.c_plus)):
+                expected = [sum(key[j] == key[i] for j in considered) if inside[i] else 0 for i in range(d.n_units)]
+                assert counts.tolist() == expected
+            assert np.array_equal(flags, counted.c != counted.c_plus)
 
 
 @given(st.integers(0, 2**32 - 1))
