@@ -195,7 +195,7 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", required=True, help="output prefix; writes PREFIX.csv and PREFIX.coeffs.json")
     s.set_defaults(func=cmd_synth)
 
-    q = sub.add_parser("sql-emit", help="print the two-statement grouping query for a covariate set")
+    q = sub.add_parser("sql-emit", help="print the grouping query (one CTE-prefixed UPDATE) for a covariate set")
     q.add_argument("--covariates", required=True, help="comma-separated column names")
     q.add_argument("--level", type=int, default=1)
     q.add_argument("--table", default="D")
@@ -214,6 +214,12 @@ def main(argv=None) -> int:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except ValueError as exc:
+        # numpy's LinAlgError subclasses ValueError, but a numerical failure is
+        # no usage error; numpy is already imported wherever one can be raised
+        linalg = sys.modules.get("numpy.linalg")
+        if linalg is not None and isinstance(exc, linalg.LinAlgError):
+            print(f"runtime failure: {exc}", file=sys.stderr)
+            return EXIT_RUNTIME
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
     except FlameError as exc:

@@ -256,7 +256,7 @@ def split_holdout(d: Dataset, fraction: float, seed: int) -> tuple[Dataset, Data
     if not (0.0 < fraction < 1.0):
         raise ValueError(f"fraction must lie in (0, 1), got {fraction}")
     if d.n_units < 2:
-        raise ValueError("need at least 2 units to split")
+        raise DataError(f"need at least 2 units to split, got {d.n_units}")
     n = d.n_units
     k = int(np.floor(fraction * n + 0.5))
     rng = np.random.default_rng(seed)

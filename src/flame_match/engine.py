@@ -18,7 +18,7 @@ import numpy as np
 
 from .dataset import Dataset
 from .errors import DegenerateHoldoutError, NoEstimateError, SchemaError
-from .grouper import GroupTable, basic_exact_match, match_flags
+from .grouper import GroupTable, basic_exact_match, drop_one_ranks, match_flags
 from .quality import LevelQuality, balancing_factor, match_quality, prediction_error
 
 
@@ -156,7 +156,16 @@ def _validate_inputs(matching: Dataset, holdout: Dataset):
 
 
 def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = None) -> MatchRun:
-    """Run the full elimination loop and return its complete trace."""
+    """Run the full elimination loop and return its complete trace.
+
+    Level 1 matches exactly on every covariate. Each later level scores the
+    drop of every active covariate with one :func:`match_flags` call on the
+    pool (the unmatched units, or every unit with replacement); on
+    ``mixed_radix`` those calls share one :func:`drop_one_ranks` build per
+    level. The highest ``mq`` wins, the lowest covariate index on a tie;
+    the stopping rules are checked on the winner before its groups are
+    committed.
+    """
     config = config or FlameConfig()
     _validate_inputs(matching, holdout)
     p = matching.n_covariates
@@ -210,14 +219,19 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
         avail_t = int(matching.treatment[un_rows].sum())
         avail_c = un_rows.size - avail_t
 
+        # one prefix/suffix rank build serves every trial drop of this level
+        ranks = drop_one_ranks(matching, pool, active) if config.backend == "mixed_radix" else None
+        if config.replacement:
+            pool_unmatched = unmatched[pool]
+            pool_treated = pool_t == 1
         best = None  # (mq, j, pe, bf); ties keep the lowest covariate index
         for j in active:
             cand = tuple(a for a in active if a != j)
-            flags, new_t, new_c = match_flags(matching, pool, cand, config.backend)
+            flags, new_t, new_c = match_flags(matching, pool, cand, config.backend, ranks=ranks)
             if config.replacement:
-                newly = flags & unmatched[pool]
-                new_t = int(np.sum(newly & (pool_t == 1)))
-                new_c = int(np.sum(newly & (pool_t == 0)))
+                newly = flags & pool_unmatched
+                new_t = int(np.count_nonzero(newly & pool_treated))
+                new_c = int(np.count_nonzero(newly)) - new_t
             bf_j = balancing_factor(new_c, avail_c, new_t, avail_t)
             pe_j = pe_of(cand)
             mq_j = config.c_param * bf_j - pe_j
@@ -225,6 +239,7 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
                 best = (mq_j, j, pe_j, bf_j)
 
         best_mq, best_j, best_pe, best_bf = best
+        del ranks  # free the rank blocks before the commit allocates its own arrays
         if config.stop_on_pe_blowup:
             if config.pe_blowup_mode == "relative":
                 threshold = pe_full * (1.0 + config.epsilon)

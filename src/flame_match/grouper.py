@@ -13,8 +13,9 @@ Two interchangeable backends produce identical group partitions:
 positional-key formulation (a unit is matched iff its covariate-key count
 differs from its covariate+treatment-key count) as a public reference.
 
-Also emits the equivalent two-statement SQL text for engines that prefer to
-run the grouping as a ``GROUP BY``/``UPDATE`` against a live table.
+Also emits the equivalent SQL, one CTE-prefixed ``UPDATE`` (a ``GROUP BY``
+common table expression of the valid groups), for engines that prefer to run
+the grouping against a live table.
 """
 
 from __future__ import annotations
@@ -141,12 +142,71 @@ def _group_ids(d: Dataset, rows: np.ndarray, active: tuple[int, ...]) -> tuple[n
     return _renumber(gid, bound)
 
 
-def _arm_counts(d: Dataset, considered: np.ndarray, active: tuple[int, ...]):
-    """Group ids of the considered rows and, per group, its size and treated count."""
-    gid, n_groups = _group_ids(d, considered, active)
+@dataclass(frozen=True)
+class DropOneRanks:
+    """Dense ranks of every prefix and every suffix of ``active`` over one row set.
+
+    ``prefix[k]`` ranks each row's codes on ``active[:k]`` and ``suffix[k]``
+    on ``active[k:]``, both in signature order; ``prefix_counts[k]`` and
+    ``suffix_counts[k]`` are their distinct counts. Dropping ``active[j]``
+    leaves the signature ``(prefix[j], suffix[j + 1])``. Each sweep is one
+    contiguous ``(m + 1, n)`` block in the smallest unsigned dtype that holds
+    ``n``: per-column arrays of this size fragment the heap between the run's
+    long-lived objects and raise its peak RSS.
+    """
+
+    active: tuple[int, ...]
+    prefix: np.ndarray
+    suffix: np.ndarray
+    prefix_counts: tuple[int, ...]
+    suffix_counts: tuple[int, ...]
+
+
+def drop_one_ranks(d: Dataset, considered, active) -> DropOneRanks:
+    """Prefix and suffix ranks of ``active`` over ``considered``, for scoring every single-covariate drop.
+
+    Built column by column with the same order-preserving tally as
+    :func:`_group_ids`, in O(n) per covariate and sweep. Pass the result as
+    ``ranks=`` to :func:`match_flags` with the same ``considered`` rows and
+    ``active`` minus one covariate.
+    """
+    considered = np.asarray(considered)
+    active = check_active(active, d.n_covariates)
+    m, n = len(active), considered.size
+    prefix = np.zeros((m + 1, n), dtype=np.min_scalar_type(n))
+    suffix = np.zeros_like(prefix)
+    prefix_counts, suffix_counts = [1] * (m + 1), [1] * (m + 1)
+    if n == 0:
+        return DropOneRanks(active, prefix, suffix, tuple(prefix_counts), tuple(suffix_counts))
+    for k, a in enumerate(active):
+        h = int(d.arities[a])
+        ids = prefix[k].astype(np.int64) * h + d.covariates[considered, a]
+        prefix[k + 1], prefix_counts[k + 1] = _renumber(ids, prefix_counts[k] * h)
+    for k in range(m - 1, -1, -1):
+        h = suffix_counts[k + 1]
+        ids = d.covariates[considered, active[k]] * h + suffix[k + 1]
+        suffix[k], suffix_counts[k] = _renumber(ids, int(d.arities[active[k]]) * h)
+    return DropOneRanks(active, prefix, suffix, tuple(prefix_counts), tuple(suffix_counts))
+
+
+def _drop_one_ids(ranks: DropOneRanks, n_rows: int, active: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """Dense group ids of the rows ``ranks`` was built on, on ``active`` = ``ranks.active`` minus one."""
+    full = ranks.active
+    if n_rows != ranks.prefix.shape[1]:
+        raise ValueError(f"ranks were built on {ranks.prefix.shape[1]} rows, not {n_rows}")
+    j = next((k for k, (a, b) in enumerate(zip(active, full)) if a != b), len(active))
+    if len(active) + 1 != len(full) or active != full[:j] + full[j + 1 :]:
+        raise ValueError(f"active {active} is not {full} minus one covariate")
+    s = ranks.suffix_counts[j + 1]
+    ids = ranks.prefix[j].astype(np.int64) * s + ranks.suffix[j + 1]
+    return _renumber(ids, ranks.prefix_counts[j] * s)
+
+
+def _arm_counts(gid: np.ndarray, n_groups: int, treated_rows: np.ndarray):
+    """Per group: its size and its treated count."""
     sizes = np.bincount(gid, minlength=n_groups)
-    treated = np.bincount(gid[d.treatment[considered] == 1], minlength=n_groups)
-    return gid, sizes, treated
+    treated = np.bincount(gid[treated_rows], minlength=n_groups)
+    return sizes, treated
 
 
 @dataclass(frozen=True)
@@ -178,34 +238,43 @@ class MatchResult:
     remainder: np.ndarray
 
 
-def match_flags(d: Dataset, considered, active, backend: str = "mixed_radix"):
+def match_flags(d: Dataset, considered, active, backend: str = "mixed_radix", ranks: DropOneRanks | None = None):
     """Matched-or-not flags over ``considered`` plus per-arm matched counts.
 
     Lighter than :func:`basic_exact_match`: no group table is built. Used for
     per-candidate trial scoring where only the balancing factor is needed.
+    With ``ranks`` from :func:`drop_one_ranks` on the same ``considered``
+    rows (``mixed_radix`` only), ``active`` must be ``ranks.active`` minus
+    one covariate, and the group ids come from its prefix and suffix ranks
+    instead of a gather and fold of the codes.
     """
     considered = np.asarray(considered)
     active = check_active(active, d.n_covariates)
+    if ranks is not None and backend != "mixed_radix":
+        raise ValueError(f"ranks apply to the mixed_radix backend, not {backend!r}")
     if considered.size == 0:
         empty = np.zeros(0, dtype=bool)
         return empty, 0, 0
+    t_considered = d.treatment[considered]
+    treated_rows = t_considered == 1
     if backend == "mixed_radix":
-        gid, sizes, treated = _arm_counts(d, considered, active)
+        if ranks is None:
+            gid, n_groups = _group_ids(d, considered, active)
+        else:
+            gid, n_groups = _drop_one_ids(ranks, considered.size, active)
+        sizes, treated = _arm_counts(gid, n_groups, treated_rows)
         flags = ((treated > 0) & (treated < sizes))[gid]
     elif backend == "tuple_key":
         tallies: dict[tuple, list[int]] = {}
         codes = d.covariates[considered][:, active].tolist()
-        t = d.treatment[considered].tolist()
-        for sig, ti in zip(codes, t):
+        for sig, ti in zip(codes, t_considered.tolist()):
             entry = tallies.setdefault(tuple(sig), [0, 0])
             entry[ti] += 1
         flags = np.array([min(tallies[tuple(sig)]) > 0 for sig in codes], dtype=bool)
     else:
         raise ValueError(f"unknown backend {backend!r}")
-    t_considered = d.treatment[considered]
-    n_t = int(np.sum(flags & (t_considered == 1)))
-    n_c = int(np.sum(flags & (t_considered == 0)))
-    return flags, n_t, n_c
+    n_t = int(np.count_nonzero(flags & treated_rows))
+    return flags, n_t, int(np.count_nonzero(flags)) - n_t
 
 
 def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radix") -> MatchResult:
@@ -235,7 +304,8 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
         matched = np.array(sorted(r for g in groups for r in g.rows), dtype=np.int64)
         remainder = considered[~np.isin(considered, matched, assume_unique=True)]
     elif backend == "mixed_radix":
-        gid, sizes, treated = _arm_counts(d, considered, active)
+        gid, n_groups = _group_ids(d, considered, active)
+        sizes, treated = _arm_counts(gid, n_groups, d.treatment[considered] == 1)
         valid = (treated > 0) & (treated < sizes)
         flags = valid[gid]
         # a stable sort of the hit ids lists each group's rows in considered
@@ -283,7 +353,7 @@ FROM {table}
 WHERE is_matched = 0
 GROUP BY {cols}
 HAVING SUM(T) >= 1 AND SUM(T) <= COUNT(*)-1
-),
+)
 UPDATE {table}
 SET is_matched = {level}
 WHERE EXISTS
@@ -301,7 +371,7 @@ def _check_identifier(name: str) -> str:
 
 
 def emit_sql(covariates, level: int, table_name: str = "D") -> str:
-    """Two-statement grouping query: collect valid groups, then stamp members.
+    """One CTE-prefixed ``UPDATE``: collect the valid groups, then stamp their members.
 
     The HAVING clause keeps exactly the groups with at least one treated and
     at least one control member; matched units get ``is_matched = level``.

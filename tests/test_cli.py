@@ -3,7 +3,10 @@ import json
 import jsonschema
 import pytest
 
-from flame_match.cli import EXIT_DATA, EXIT_OK, EXIT_USAGE, main
+import numpy as np
+
+import flame_match.engine as engine_mod
+from flame_match.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
 
 SCHEMA_DIR = "docs"
 
@@ -195,3 +198,38 @@ def test_match_non_finite_outcome_is_data_error(bad, tmp_path, capsys, write_csv
     assert code == EXIT_DATA
     assert "row 42" in err and len(err.strip().splitlines()) == 1
     assert not out_path.exists()
+
+
+def test_match_numerical_failure_is_runtime_error(table1_csv, tmp_path, monkeypatch, capsys):
+    # LinAlgError subclasses ValueError; it must not be reported as a usage error
+    def singular(holdout, active):
+        raise np.linalg.LinAlgError("Singular matrix")
+
+    monkeypatch.setattr(engine_mod, "prediction_error", singular)
+    code, _, err = run_cli(
+        capsys,
+        "match",
+        "--input", table1_csv,
+        "--holdout", table1_csv,
+        "--treatment", "T",
+        "--outcome", "Y",
+        "--output", str(tmp_path / "run.json"),
+    )
+    assert code == EXIT_RUNTIME
+    assert err.startswith("runtime failure:") and "Singular matrix" in err
+    assert len(err.strip().splitlines()) == 1
+
+
+def test_match_too_few_units_to_split_is_data_error(tmp_path, capsys, write_csv):
+    path = write_csv("header-only.csv", ["a", "T", "Y"], [])
+    code, _, err = run_cli(
+        capsys,
+        "match",
+        "--input", path,
+        "--holdout-frac", "0.5",
+        "--treatment", "T",
+        "--outcome", "Y",
+        "--output", str(tmp_path / "run.json"),
+    )
+    assert code == EXIT_DATA
+    assert "need at least 2 units" in err and len(err.strip().splitlines()) == 1

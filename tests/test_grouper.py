@@ -1,3 +1,5 @@
+import sqlite3
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,6 +12,7 @@ from flame_match.grouper import (
     _group_ids,
     basic_exact_match,
     count_and_flag,
+    drop_one_ranks,
     emit_sql,
     group_table_json,
     match_flags,
@@ -199,6 +202,89 @@ def test_renumbering_matches_tuple_backend(p, arity):
     assert np.array_equal(flags_a, flags_b) and counts_a == counts_b
 
 
+def _check_every_drop(d, considered, active):
+    """match_flags from one rank build equals the direct fold and tuple_key for every drop."""
+    ranks = drop_one_ranks(d, considered, active)
+    for j in active:
+        cand = tuple(a for a in active if a != j)
+        flags, *counts = match_flags(d, considered, cand, ranks=ranks)
+        for backend in ("mixed_radix", "tuple_key"):
+            ref_flags, *ref_counts = match_flags(d, considered, cand, backend=backend)
+            assert np.array_equal(flags, ref_flags) and counts == ref_counts
+    return ranks
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_drop_one_ranks_match_every_drop(seed):
+    rng = np.random.default_rng(seed)
+    d = random_dataset(rng, p=int(rng.integers(2, 7)))
+    p = d.n_covariates
+    active = tuple(sorted(rng.choice(p, size=int(rng.integers(2, p + 1)), replace=False).tolist()))
+    considered = np.flatnonzero(rng.random(d.n_units) < rng.uniform(0.3, 1.0))
+    if considered.size:
+        ranks = _check_every_drop(d, considered, active)
+        # ranks are dense and ordered like the signatures they stand for
+        sigs = [tuple(r) for r in d.covariates[considered][:, list(active)].tolist()]
+        for k in range(len(active) + 1):
+            sweeps = ((ranks.prefix, ranks.prefix_counts, slice(0, k)), (ranks.suffix, ranks.suffix_counts, slice(k, None)))
+            for block, counts, part in sweeps:
+                keys = [s[part] for s in sigs]
+                assert counts[k] == len(set(keys)) == int(block[k].max()) + 1
+                order = sorted(set(keys))
+                assert block[k].tolist() == [order.index(key) for key in keys]
+
+
+def test_drop_one_ranks_wide_keys_take_the_sorting_renumber():
+    # 12 arity-50 covariates over 400 rows: prefix and suffix ranks each reach
+    # ~400 distinct values, so a drop's pair key spans ~160000 > max(8n, 2**16)
+    # and is renumbered by np.unique rather than by the tally
+    rng = np.random.default_rng(50)
+    p, arity, n = 12, 50, 400
+    base = rng.integers(0, arity, size=(150, p))
+    covs = base[rng.integers(0, 150, size=n)]
+    covs[np.arange(n), rng.integers(0, p, size=n)] = rng.integers(0, arity, size=n)
+    d = Dataset(
+        covariates=covs,
+        arities=np.full(p, arity),
+        treatment=rng.integers(0, 2, size=n),
+        outcome=np.zeros(n),
+        covariate_names=tuple(f"c{i}" for i in range(p)),
+        unit_ids=np.arange(n),
+    )
+    ranks = _check_every_drop(d, np.arange(n), tuple(range(p)))
+    wide = [j for j in range(p) if ranks.prefix_counts[j] * ranks.suffix_counts[j + 1] > max(8 * n, 1 << 16)]
+    assert wide
+    assert any(match_flags(d, np.arange(n), tuple(a for a in range(p) if a != j), ranks=ranks)[1] for j in wide)
+
+
+def test_drop_one_ranks_empty_considered():
+    d = random_dataset(np.random.default_rng(1), p=3)
+    empty = np.array([], dtype=np.int64)
+    ranks = drop_one_ranks(d, empty, (0, 1, 2))
+    flags, n_t, n_c = match_flags(d, empty, (0, 2), ranks=ranks)
+    assert flags.size == 0 and (n_t, n_c) == (0, 0)
+    ref_flags, *ref_counts = match_flags(d, empty, (0, 2))
+    assert ref_flags.size == 0 and ref_counts == [0, 0]
+
+
+def test_drop_one_ranks_rejects_mismatched_calls():
+    d = random_dataset(np.random.default_rng(2), n=30, p=4)
+    rows = np.arange(30)
+    ranks = drop_one_ranks(d, rows, (0, 1, 2, 3))
+    for bad in ((0, 1, 2, 3), (0, 1), (1, 3)):  # nothing or two dropped
+        with pytest.raises(ValueError, match="minus one"):
+            match_flags(d, rows, bad, ranks=ranks)
+    partial = drop_one_ranks(d, rows, (0, 2, 3))
+    for bad in ((0, 1), (1, 2)):  # a covariate the ranks never saw
+        with pytest.raises(ValueError, match="minus one"):
+            match_flags(d, rows, bad, ranks=partial)
+    with pytest.raises(ValueError, match="rows"):
+        match_flags(d, rows[:20], (0, 1, 2), ranks=ranks)
+    with pytest.raises(ValueError, match="mixed_radix"):
+        match_flags(d, rows, (0, 1, 2), backend="tuple_key", ranks=ranks)
+
+
 def test_count_and_flag_brute_force_occurrences():
     rng = np.random.default_rng(0)
     wide = np.repeat(rng.integers(0, 2, size=(5, 63)), 3, axis=0)
@@ -289,3 +375,15 @@ def test_emit_sql_rejects_bad_identifiers():
         emit_sql(["A"], 1, "my table")
     with pytest.raises(ValueError):
         emit_sql(["A"], 0, "D")
+
+
+def test_emit_sql_runs_and_stamps_the_matched_rows(table1):
+    db = sqlite3.connect(":memory:")
+    db.execute("CREATE TABLE D (v1 INTEGER, v2 INTEGER, T INTEGER, is_matched INTEGER)")
+    rows = zip(*table1.covariates.T.tolist(), table1.treatment.tolist(), [0] * table1.n_units)
+    db.executemany("INSERT INTO D VALUES (?, ?, ?, ?)", rows)
+    db.execute(emit_sql(["v1", "v2"], 1, "D"))
+    stamped = [r - 1 for (r,) in db.execute("SELECT rowid FROM D WHERE is_matched = 1 ORDER BY rowid")]
+    assert stamped == basic_exact_match(table1, np.arange(4), (0, 1)).matched.tolist() == [1, 3]
+    assert db.execute("SELECT COUNT(*) FROM D WHERE is_matched NOT IN (0, 1)").fetchone() == (0,)
+    db.close()
