@@ -26,7 +26,6 @@ _EXPORTS = {
     "balancing_factor": "quality",
     "match_quality": "quality",
     "FlameConfig": "engine",
-    "MatchedGroup": "engine",
     "MatchRun": "engine",
     "StopReason": "engine",
     "run_flame": "engine",

@@ -100,7 +100,7 @@ def cmd_match(args) -> CommandOutcome:
         _atomic_write(units_path, matchrun_units_csv(run))
         _atomic_write(levels_path, matchrun_levels_csv(run))
         artifacts.extend([units_path, levels_path])
-    n_groups = sum(len(lv.groups) for lv in run.levels)
+    n_groups = sum(len(lv.table) for lv in run.levels)
     try:
         ate = f"{estimate_ate(run):.6g}"
     except NoEstimateError:

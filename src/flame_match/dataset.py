@@ -8,9 +8,8 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
-import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -71,6 +70,8 @@ class Dataset:
 
     def _validate(self):
         n, p = self.covariates.shape
+        if p == 0:
+            raise DataError("a dataset needs at least one covariate")
         if self.arities.shape != (p,):
             raise DataError(f"expected {p} arities, got {self.arities.shape}")
         if len(self.covariate_names) != p:
@@ -122,20 +123,6 @@ class Dataset:
         if self.encodings is None:
             return str(int(self.covariates[unit, covariate]))
         return self.encodings[covariate][int(self.covariates[unit, covariate])]
-
-    def to_json_dict(self) -> dict:
-        """Reproducibility dump: schema, arities and encoding dictionaries."""
-        return {
-            "n_units": self.n_units,
-            "covariate_names": list(self.covariate_names),
-            "arities": [int(a) for a in self.arities],
-            "encodings": None if self.encodings is None else [list(e) for e in self.encodings],
-            "n_treated": self.n_treated,
-            "n_control": self.n_control,
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2)
 
 
 def load_csv(path, schema: DatasetSchema, encodings: dict[str, list[str]] | None = None) -> Dataset:

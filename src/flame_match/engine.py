@@ -67,44 +67,36 @@ class FlameConfig:
 
 
 @dataclass(frozen=True)
-class MatchedGroup:
-    level: int
-    active_signature: tuple[int, ...]
-    unit_ids: tuple
-    n_treated: int
-    n_control: int
-    cate: float
-    variance_upper_bound: float
-
-    @property
-    def size(self) -> int:
-        return self.n_treated + self.n_control
-
-
-@dataclass(frozen=True)
 class LevelRecord:
+    """One committed level: its groups, and per group its CATE and variance upper bound."""
+
     level: int
     active: tuple[int, ...]
     quality: LevelQuality
-    groups: tuple[MatchedGroup, ...]
+    table: GroupTable
+    cate: np.ndarray
+    variance_upper_bound: np.ndarray
 
 
 @dataclass(frozen=True)
 class MatchRun:
+    """A run's trace; group rows index ``unit_ids``, the matching units' ids."""
+
     config: FlameConfig
     covariate_names: tuple[str, ...]
     dropped_order: tuple[int, ...]
     levels: tuple[LevelRecord, ...]
     stop_reason: StopReason
-    unmatched_unit_ids: tuple
-    n_units: int
+    unit_ids: np.ndarray
+    unmatched_unit_ids: np.ndarray
 
-    def all_groups(self) -> list[MatchedGroup]:
-        return [g for lv in self.levels for g in lv.groups]
+    @property
+    def n_units(self) -> int:
+        return self.unit_ids.size
 
     @property
     def n_matched(self) -> int:
-        return self.n_units - len(self.unmatched_unit_ids)
+        return self.n_units - self.unmatched_unit_ids.size
 
 
 def variance_upper_bound(treated_outcomes, control_outcomes) -> float:
@@ -122,28 +114,35 @@ def variance_upper_bound(treated_outcomes, control_outcomes) -> float:
     return total
 
 
-def _native(v):
-    return v.item() if isinstance(v, np.generic) else v
+def _arm_moments(y: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sample variance (0 for one member) of each run ``y[starts[i]:starts[i] + sizes[i]]``.
+
+    Runs of equal size k form one ``(runs, k)`` block, whose row sums take
+    the same pairwise order as ``ndarray.mean`` and ``var(ddof=1)`` on each
+    run alone, so every value is bit-identical to theirs.
+    """
+    mean, var = np.empty(sizes.size), np.zeros(sizes.size)
+    for k in np.unique(sizes).tolist():
+        sel = np.flatnonzero(sizes == k)
+        block = y[starts[sel, None] + np.arange(k)]
+        m = block.sum(axis=1, keepdims=True) / k
+        mean[sel] = m[:, 0]
+        if k >= 2:
+            dev = block - m
+            var[sel] = (dev * dev).sum(axis=1) / (k - 1)
+    return mean, var
 
 
-def _materialize_groups(d: Dataset, table: GroupTable, level: int) -> tuple[MatchedGroup, ...]:
-    out = []
-    for g in table.groups:
-        rows = np.asarray(g.rows)
-        t_out = d.outcome[rows[d.treatment[rows] == 1]]
-        c_out = d.outcome[rows[d.treatment[rows] == 0]]
-        out.append(
-            MatchedGroup(
-                level=level,
-                active_signature=g.signature,
-                unit_ids=tuple(_native(d.unit_ids[r]) for r in g.rows),
-                n_treated=g.n_treated,
-                n_control=g.n_control,
-                cate=float(t_out.mean() - c_out.mean()),
-                variance_upper_bound=variance_upper_bound(t_out, c_out),
-            )
-        )
-    return tuple(out)
+def _level_record(d: Dataset, level: int, active, quality: LevelQuality, table: GroupTable) -> LevelRecord:
+    """Per group: treated-minus-control mean outcome and :func:`variance_upper_bound`, in one pass."""
+    treated = d.treatment[table.rows]
+    # treated members first within each group, each arm in row order
+    order = np.argsort(2 * table.member_groups() + (1 - treated), kind="stable")
+    y = d.outcome[table.rows[order]]
+    starts = table.offsets[:-1]
+    mean_t, var_t = _arm_moments(y, starts, table.n_treated)
+    mean_c, var_c = _arm_moments(y, starts + table.n_treated, table.n_control)
+    return LevelRecord(level, tuple(active), quality, table, mean_t - mean_c, var_t + var_c)
 
 
 def _validate_inputs(matching: Dataset, holdout: Dataset):
@@ -169,13 +168,11 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
     config = config or FlameConfig()
     _validate_inputs(matching, holdout)
     p = matching.n_covariates
-    if p == 0:
-        raise ValueError("matching dataset has no covariates")
     names = matching.covariate_names
     n = matching.n_units
 
     if n == 0:
-        return MatchRun(config, names, (), (), StopReason.NO_UNMATCHED_DATA, (), 0)
+        return MatchRun(config, names, (), (), StopReason.NO_UNMATCHED_DATA, matching.unit_ids, matching.unit_ids)
 
     pe_cache: dict[tuple[int, ...], float] = {}
 
@@ -196,9 +193,7 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
     res = basic_exact_match(matching, all_rows, tuple(active), config.backend)
     n_t = int(matching.treatment[res.matched].sum())
     bf = balancing_factor(len(res.matched) - n_t, avail_c, n_t, avail_t)
-    levels.append(
-        LevelRecord(1, tuple(active), match_quality(pe_full, bf, config.c_param), _materialize_groups(matching, res.table, 1))
-    )
+    levels.append(_level_record(matching, 1, active, match_quality(pe_full, bf, config.c_param), res.table))
     unmatched[res.matched] = False
 
     stop = None
@@ -259,26 +254,20 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
 
         active.remove(best_j)
         dropped.append(best_j)
-        level_no = len(levels) + 1
         res = basic_exact_match(matching, pool, tuple(active), config.backend)
+        table = res.table
         if config.replacement:
-            # groups keep their full membership; only first-time matches
-            # consume units from the unmatched pool
-            kept = tuple(g for g in res.table.groups if any(unmatched[r] for r in g.rows))
-            table = GroupTable(res.table.active, kept)
-            newly_rows = [r for g in kept for r in g.rows if unmatched[r]]
-            unmatched[newly_rows] = False
+            # groups keep their full membership; only a group holding a
+            # first-time match is kept, and only those consume the pool
+            newly = unmatched[table.rows]
+            keep = np.zeros(len(table), dtype=bool)
+            keep[table.member_groups()[newly]] = True
+            unmatched[table.rows[newly]] = False
+            table = table.subset(keep)
         else:
-            table = res.table
             unmatched[res.matched] = False
-        levels.append(
-            LevelRecord(
-                level_no,
-                tuple(active),
-                match_quality(best_pe, best_bf, config.c_param),
-                _materialize_groups(matching, table, level_no),
-            )
-        )
+        quality = match_quality(best_pe, best_bf, config.c_param)
+        levels.append(_level_record(matching, len(levels) + 1, active, quality, table))
 
     return MatchRun(
         config=config,
@@ -286,18 +275,17 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
         dropped_order=tuple(dropped),
         levels=tuple(levels),
         stop_reason=stop,
-        unmatched_unit_ids=tuple(_native(matching.unit_ids[r]) for r in np.flatnonzero(unmatched)),
-        n_units=n,
+        unit_ids=matching.unit_ids,
+        unmatched_unit_ids=matching.unit_ids[unmatched],
     )
 
 
 def estimate_ate(run: MatchRun) -> float:
     """Average treatment effect: group effects weighted by group size."""
-    groups = run.all_groups()
-    if not groups:
+    if not any(len(lv.table) for lv in run.levels):
         raise NoEstimateError("run produced no matched groups")
-    weights = np.array([g.size for g in groups], dtype=np.float64)
-    cates = np.array([g.cate for g in groups])
+    weights = np.concatenate([lv.table.sizes for lv in run.levels]).astype(np.float64)
+    cates = np.concatenate([lv.cate for lv in run.levels])
     return float(np.sum(weights * cates) / np.sum(weights))
 
 
@@ -320,10 +308,12 @@ def subpopulation_report(run: MatchRun, by_covariate: int) -> dict:
         raise ValueError(f"covariate index {by_covariate} out of range")
     buckets: dict = {}
     for lv in run.levels:
-        pos = lv.active.index(by_covariate) if by_covariate in lv.active else None
-        for g in lv.groups:
-            key = int(g.active_signature[pos]) if pos is not None else "marginalized"
-            buckets.setdefault(key, []).append((g.cate, g.size))
+        if by_covariate in lv.active:
+            keys = lv.table.signatures[:, lv.active.index(by_covariate)].tolist()
+        else:
+            keys = ["marginalized"] * len(lv.table)
+        for key, cate, size in zip(keys, lv.cate.tolist(), lv.table.sizes.tolist()):
+            buckets.setdefault(key, []).append((cate, size))
     report = {}
     for key in sorted(buckets, key=str):
         cates = np.array([c for c, _ in buckets[key]])
@@ -332,6 +322,12 @@ def subpopulation_report(run: MatchRun, by_covariate: int) -> dict:
         var = float(np.sum(w * (cates - mean) ** 2) / np.sum(w))
         report[key] = CategoryStat(mean_cate=mean, std_cate=float(np.sqrt(var)), units=int(w.sum()))
     return report
+
+
+def _group_slices(lv: LevelRecord, values: list) -> list:
+    """``values``, one entry per member row of ``lv``, cut into one list per group."""
+    bounds = lv.table.offsets.tolist()
+    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
 
 
 def matchrun_to_json_dict(run: MatchRun) -> dict:
@@ -354,14 +350,21 @@ def matchrun_to_json_dict(run: MatchRun) -> dict:
                 "mq": lv.quality.mq,
                 "groups": [
                     {
-                        "signature": [int(s) for s in g.active_signature],
-                        "unit_ids": list(g.unit_ids),
-                        "n_treated": g.n_treated,
-                        "n_control": g.n_control,
-                        "cate": g.cate,
-                        "variance_upper_bound": g.variance_upper_bound,
+                        "signature": sig,
+                        "unit_ids": uids,
+                        "n_treated": n_t,
+                        "n_control": n_c,
+                        "cate": cate,
+                        "variance_upper_bound": vub,
                     }
-                    for g in lv.groups
+                    for sig, uids, n_t, n_c, cate, vub in zip(
+                        lv.table.signatures.tolist(),
+                        _group_slices(lv, run.unit_ids[lv.table.rows].tolist()),
+                        lv.table.n_treated.tolist(),
+                        lv.table.n_control.tolist(),
+                        lv.cate.tolist(),
+                        lv.variance_upper_bound.tolist(),
+                    )
                 ],
             }
             for lv in run.levels
@@ -370,7 +373,7 @@ def matchrun_to_json_dict(run: MatchRun) -> dict:
         "stop_reason": run.stop_reason.value,
         "n_units": run.n_units,
         "n_matched": run.n_matched,
-        "unmatched_unit_ids": list(run.unmatched_unit_ids),
+        "unmatched_unit_ids": run.unmatched_unit_ids.tolist(),
     }
 
 
@@ -385,14 +388,18 @@ def matchrun_units_csv(run: MatchRun) -> str:
     only group, when matching without replacement).
     """
     lines = ["unit_id,level,signature,cate"]
-    seen = set()
-    for lv in run.levels:
-        for g in lv.groups:
-            sig = "|".join(str(int(s)) for s in g.active_signature)
-            for uid in g.unit_ids:
-                if uid not in seen:
-                    seen.add(uid)
-                    lines.append(f"{uid},{g.level},{sig},{g.cate!r}")
+    if not run.levels:
+        return lines[0] + "\n"
+    # one entry per group membership, in level, group and member order
+    rows = np.concatenate([lv.table.rows for lv in run.levels])
+    suffixes = [
+        f",{lv.level},{'|'.join(map(str, sig))},{cate!r}"
+        for lv in run.levels
+        for sig, cate in zip(lv.table.signatures.tolist(), lv.cate.tolist())
+    ]
+    group_of = np.repeat(np.arange(len(suffixes)), np.concatenate([lv.table.sizes for lv in run.levels]))
+    first = np.sort(np.unique(rows, return_index=True)[1])
+    lines += [f"{uid}{suffixes[g]}" for uid, g in zip(run.unit_ids[rows[first]].tolist(), group_of[first].tolist())]
     return "\n".join(lines) + "\n"
 
 
@@ -400,8 +407,7 @@ def matchrun_levels_csv(run: MatchRun) -> str:
     """Per-level quality series (plot-ready): level, n_active, pe, bf, mq, groups, new matches."""
     lines = ["level,n_active,pe,bf,mq,n_groups,n_matched"]
     for lv in run.levels:
-        n_matched = sum(g.size for g in lv.groups)
         lines.append(
-            f"{lv.level},{len(lv.active)},{lv.quality.pe!r},{lv.quality.bf!r},{lv.quality.mq!r},{len(lv.groups)},{n_matched}"
+            f"{lv.level},{len(lv.active)},{lv.quality.pe!r},{lv.quality.bf!r},{lv.quality.mq!r},{len(lv.table)},{lv.table.rows.size}"
         )
     return "\n".join(lines) + "\n"

@@ -1,6 +1,7 @@
 """Exact-match grouping on an active covariate subset.
 
-Two interchangeable backends produce identical group partitions:
+Two interchangeable backends produce the identical columnar
+:class:`GroupTable`:
 
 * ``mixed_radix``: each unit's active codes fold, most significant first,
   into one dense int64 group id numbered in lexicographic signature order
@@ -210,25 +211,42 @@ def _arm_counts(gid: np.ndarray, n_groups: int, treated_rows: np.ndarray):
 
 
 @dataclass(frozen=True)
-class Group:
-    signature: tuple[int, ...]
-    rows: tuple[int, ...]
-    n_treated: int
-    n_control: int
-
-
-@dataclass(frozen=True)
 class GroupTable:
-    """Valid matched groups, sorted lexicographically by signature."""
+    """Valid matched groups as columns, sorted lexicographically by signature.
+
+    The ``i``-th group has the codes ``signatures[i]`` on ``active`` and the
+    member rows ``rows[offsets[i]:offsets[i + 1]]``, in considered order, of
+    which ``n_treated[i]`` are treated and ``n_control[i]`` control.
+    """
 
     active: tuple[int, ...]
-    groups: tuple[Group, ...]
+    signatures: np.ndarray
+    offsets: np.ndarray
+    rows: np.ndarray
+    n_treated: np.ndarray
+    n_control: np.ndarray
 
     def __len__(self):
-        return len(self.groups)
+        return self.n_treated.size
 
-    def signature_map(self) -> dict[tuple[int, ...], Group]:
-        return {g.signature: g for g in self.groups}
+    @property
+    def groups(self) -> range:
+        """The group indices; perfbench's trace counts committed groups as ``len(table.groups)``."""
+        return range(len(self))
+
+    @property
+    def sizes(self) -> np.ndarray:
+        return self.n_treated + self.n_control
+
+    def member_groups(self) -> np.ndarray:
+        """The group index of each entry of ``rows``."""
+        return np.repeat(np.arange(len(self)), self.sizes)
+
+    def subset(self, keep: np.ndarray) -> "GroupTable":
+        """The groups where the boolean mask ``keep`` is set, in their order."""
+        offsets = np.concatenate(([0], np.cumsum(self.sizes[keep])))
+        rows = self.rows[np.repeat(keep, self.sizes)]
+        return GroupTable(self.active, self.signatures[keep], offsets, rows, self.n_treated[keep], self.n_control[keep])
 
 
 @dataclass(frozen=True)
@@ -278,30 +296,30 @@ def match_flags(d: Dataset, considered, active, backend: str = "mixed_radix", ra
 
 
 def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radix") -> MatchResult:
-    """Group considered units by exact equality on the active covariates.
+    """Partition the considered units by exact equality on the active covariates.
 
     Groups lacking a treated or a control member are pruned; matched units
     are members of surviving groups, the remainder is everything else. Both
     backends return the identical :class:`GroupTable`.
     """
-    considered = np.asarray(considered)
+    considered = np.asarray(considered, dtype=np.int64)
     active = check_active(active, d.n_covariates)
     if considered.size == 0:
-        empty = np.zeros(0, dtype=np.int64)
-        return MatchResult(empty, GroupTable(active, ()), empty)
+        none = np.zeros(0, dtype=np.int64)
+        table = GroupTable(active, np.zeros((0, len(active)), dtype=np.int64), np.zeros(1, dtype=np.int64), none, none, none)
+        return MatchResult(none, table, none)
 
     if backend == "tuple_key":
-        members: dict[tuple, list[int]] = {}
+        buckets: dict[tuple, list[int]] = {}
         codes = d.covariates[considered][:, active].tolist()
         for pos, sig in zip(considered.tolist(), codes):
-            members.setdefault(tuple(sig), []).append(pos)
-        groups = []
-        for sig in sorted(members):
-            rows = members[sig]
-            n_t = int(d.treatment[rows].sum())
-            if 1 <= n_t <= len(rows) - 1:
-                groups.append(Group(sig, tuple(rows), n_t, len(rows) - n_t))
-        matched = np.array(sorted(r for g in groups for r in g.rows), dtype=np.int64)
+            buckets.setdefault(tuple(sig), []).append(pos)
+        groups = [(sig, rows) for sig, rows in sorted(buckets.items()) if 0 < d.treatment[rows].sum() < len(rows)]
+        signatures = np.array([sig for sig, _ in groups], dtype=np.int64).reshape(-1, len(active))
+        members = np.array([r for _, rows in groups for r in rows], dtype=np.int64)
+        sizes = np.array([len(rows) for _, rows in groups], dtype=np.int64)
+        treated = np.array([d.treatment[rows].sum() for _, rows in groups], dtype=np.int64)
+        matched = np.sort(members)
         remainder = considered[~np.isin(considered, matched, assume_unique=True)]
     elif backend == "mixed_radix":
         gid, n_groups = _group_ids(d, considered, active)
@@ -314,37 +332,15 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
         members = hit[np.argsort(gid[flags], kind="stable")]
         ids = np.flatnonzero(valid)
         sizes, treated = sizes[ids], treated[ids]
-        starts = np.cumsum(sizes) - sizes
-        signatures = d.covariates[np.ix_(members[starts], active)].tolist()
-        groups = [
-            Group(tuple(sig), tuple(rows.tolist()), nt, size - nt)
-            for sig, rows, nt, size in zip(signatures, np.split(members, starts[1:]), treated.tolist(), sizes.tolist())
-        ]
+        signatures = d.covariates[np.ix_(members[np.cumsum(sizes) - sizes], active)]
         matched = np.sort(hit)
         remainder = considered[~flags]
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
-    return MatchResult(matched, GroupTable(active, tuple(groups)), remainder)
-
-
-def group_table_json(table: GroupTable, d: Dataset) -> list[dict]:
-    """JSON-ready view of a group table with dataset unit ids."""
-    out = []
-    for g in table.groups:
-        out.append(
-            {
-                "signature": list(g.signature),
-                "unit_ids": [_json_id(d.unit_ids[r]) for r in g.rows],
-                "n_treated": g.n_treated,
-                "n_control": g.n_control,
-            }
-        )
-    return out
-
-
-def _json_id(v):
-    return v.item() if isinstance(v, np.generic) else v
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    table = GroupTable(active, signatures, offsets, members, treated, sizes - treated)
+    return MatchResult(matched, table, remainder)
 
 
 _SQL_TEMPLATE = """WITH tempgroups AS

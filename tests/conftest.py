@@ -52,3 +52,23 @@ def random_dataset(rng, n=None, p=None, max_arity=4):
         covariate_names=tuple(f"c{i}" for i in range(p)),
         unit_ids=np.arange(n),
     )
+
+
+def group_tuples(table):
+    """A group table as ``(signature, rows, n_treated, n_control)`` tuples, in table order."""
+    bounds = table.offsets.tolist()
+    return [
+        (tuple(sig), tuple(table.rows[lo:hi].tolist()), n_t, n_c)
+        for sig, lo, hi, n_t, n_c in zip(
+            table.signatures.tolist(), bounds, bounds[1:], table.n_treated.tolist(), table.n_control.tolist()
+        )
+    ]
+
+
+def first_match_levels(run):
+    """Unit id -> level of the first group that holds it (with replacement a unit can recur later)."""
+    level_of = {}
+    for lv in run.levels:
+        for uid in run.unit_ids[lv.table.rows].tolist():
+            level_of.setdefault(uid, lv.level)
+    return level_of

@@ -18,14 +18,36 @@ class ReferenceRun:
     stop_reason: str
     unit_level: dict  # row -> level at which the row was first matched
     scores: list  # per scored level: {covariate: mq of dropping it}
+    groups: list  # per committed level: [(signature, rows, n_treated, n_control)], by signature
+
+
+def _valid_groups(codes, treatment, pool, active):
+    """Signature -> rows of each group of ``pool`` on ``active`` that holds both treatment values."""
+    buckets = {}
+    for u in pool:
+        buckets.setdefault(tuple(codes[u][a] for a in active), []).append(u)
+    return {sig: members for sig, members in buckets.items() if len({treatment[u] for u in members}) == 2}
 
 
 def _matched_rows(codes, treatment, pool, active):
     """Rows of ``pool`` whose signature on ``active`` occurs under both treatment values."""
-    buckets = {}
-    for u in pool:
-        buckets.setdefault(tuple(codes[u][a] for a in active), []).append(u)
-    return [u for members in buckets.values() if len({treatment[u] for u in members}) == 2 for u in members]
+    return [u for members in _valid_groups(codes, treatment, pool, active).values() for u in members]
+
+
+def _commit(groups, treatment, level_of, level):
+    """Stamp first matches with ``level``; return the groups holding one, members in row order.
+
+    Groups keep their full membership, so with replacement a committed group
+    can also hold units matched at earlier levels.
+    """
+    kept = {sig: sorted(members) for sig, members in groups.items() if any(u not in level_of for u in members)}
+    for members in kept.values():
+        for u in members:
+            level_of.setdefault(u, level)
+    return [
+        (sig, tuple(rows), sum(treatment[u] for u in rows), sum(1 - treatment[u] for u in rows))
+        for sig, rows in sorted(kept.items())
+    ]
 
 
 def reference_flame(
@@ -46,9 +68,8 @@ def reference_flame(
     pe_full = prediction_error(holdout, tuple(active))
 
     level_of = {}
-    first = _matched_rows(codes, treatment, range(n), active)
-    for u in first:
-        level_of[u] = 1
+    committed = [_commit(_valid_groups(codes, treatment, range(n), active), treatment, level_of, 1)]
+    first = list(level_of)
     first_t = sum(treatment[u] for u in first)
     n_t = sum(treatment)
     level_mqs = [c_param * balancing_factor(len(first) - first_t, n - n_t, first_t, n_t) - pe_full]
@@ -99,7 +120,6 @@ def reference_flame(
         active.remove(best_j)
         dropped.append(best_j)
         level_mqs.append(best_mq)
-        for u in _matched_rows(codes, treatment, pool, active):
-            level_of.setdefault(u, len(level_mqs))
+        committed.append(_commit(_valid_groups(codes, treatment, pool, active), treatment, level_of, len(level_mqs)))
 
-    return ReferenceRun(dropped, stop, level_of, scores)
+    return ReferenceRun(dropped, stop, level_of, scores, committed)

@@ -169,14 +169,13 @@ def test_criterion_06_quadratic_model_exact_first_level():
     t0 = time.perf_counter()
     run = run_flame(data.dataset, hold.dataset, FlameConfig())
     elapsed = time.perf_counter() - t0
-    lvl1_matched = sum(g.size for g in run.levels[0].groups)
+    lvl1_matched = int(run.levels[0].table.sizes.sum())
     frac = lvl1_matched / data.dataset.n_units
     truth = dict(zip(data.dataset.unit_ids.tolist(), data.true_cates.tolist()))
     sq = [
-        (g.cate - truth[uid]) ** 2
+        (cate - truth[uid]) ** 2
         for lv in run.levels
-        for g in lv.groups
-        for uid in g.unit_ids
+        for cate, uid in zip(np.repeat(lv.cate, lv.table.sizes).tolist(), run.unit_ids[lv.table.rows].tolist())
     ]
     rmse = float(np.sqrt(np.mean(sq)))
     ok = frac >= 0.99 and rmse <= 3 * 0.1 and elapsed < 30.0
@@ -216,8 +215,8 @@ def test_criterion_08_backend_equivalence_200_cases():
         res_a = basic_exact_match(d, np.arange(n), active, backend="mixed_radix")
         res_b = basic_exact_match(d, np.arange(n), active, backend="tuple_key")
         same = len(res_a.table) == len(res_b.table) and all(
-            ga.signature == gb.signature and ga.rows == gb.rows
-            for ga, gb in zip(res_a.table.groups, res_b.table.groups)
+            np.array_equal(getattr(res_a.table, col), getattr(res_b.table, col))
+            for col in ("signatures", "offsets", "rows")
         )
         ok = ok and same and np.array_equal(res_a.matched, res_b.matched)
     assert _report(8, "mixed-radix and tuple-key partitions identical on 200 random datasets", ok)
@@ -254,7 +253,7 @@ def test_criterion_09_scalability_smoke():
     run = run_flame(matching, holdout, FlameConfig())
     elapsed = time.perf_counter() - t0
     peak_gb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / (1024**2)
-    ok = elapsed < 300.0 and peak_gb < 4.0 and run.n_matched > 0.5 * n and len(run.all_groups()) > 0
+    ok = elapsed < 300.0 and peak_gb < 4.0 and run.n_matched > 0.5 * n and sum(len(lv.table) for lv in run.levels) > 0
     assert _report(
         9,
         "100k x 15 run end-to-end < 5 min, peak memory < 4 GB",

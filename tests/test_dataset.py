@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -106,6 +104,18 @@ def test_dataset_invariants_enforced():
         Dataset(**{**base, "unit_ids": np.array([5, 5])})
 
 
+def test_no_covariates_rejected():
+    with pytest.raises(DataError, match="at least one covariate"):
+        Dataset(
+            covariates=np.zeros((3, 0), dtype=np.int64),
+            arities=np.zeros(0, dtype=np.int64),
+            treatment=np.array([0, 1, 0]),
+            outcome=np.array([1.0, 2.0, 3.0]),
+            covariate_names=(),
+            unit_ids=np.arange(3),
+        )
+
+
 def _dataset(arities, n=6, seed=0):
     rng = np.random.default_rng(seed)
     covs = np.stack([rng.integers(0, a, size=n) for a in arities], axis=1)
@@ -171,12 +181,3 @@ def test_split_fraction_bounds():
     for bad in (0.0, 1.0, -0.1, 1.7):
         with pytest.raises(ValueError):
             split_holdout(d, bad, seed=0)
-
-
-def test_json_dump(write_csv):
-    path = write_csv("j.csv", ["a", "T", "Y"], [["u", 0, 1], ["v", 1, 2]])
-    d = load_csv(path, SCHEMA)
-    payload = json.loads(d.to_json())
-    assert payload["arities"] == [2]
-    assert payload["encodings"] == [["u", "v"]]
-    assert payload["n_units"] == 2

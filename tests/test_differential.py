@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dataset
+from conftest import first_match_levels, group_tuples, random_dataset
 from flame_match.dataset import Dataset
 from flame_match.engine import FlameConfig, run_flame
 from reference_flame import reference_flame
@@ -26,23 +26,14 @@ def _holdout_for(matching, rng, n=40):
     )
 
 
-def _unit_levels(run):
-    """Level at which each unit was first matched (with replacement a unit can recur in later groups)."""
-    level_of = {}
-    for lv in run.levels:
-        for g in lv.groups:
-            for uid in g.unit_ids:
-                level_of.setdefault(uid, lv.level)
-    return level_of
-
-
 def _check_against_reference(matching, holdout, **options):
     ref = reference_flame(matching, holdout, **options)
     for backend in ("mixed_radix", "tuple_key"):
         run = run_flame(matching, holdout, FlameConfig(backend=backend, **options))
         assert list(run.dropped_order) == ref.dropped_order, backend
         assert run.stop_reason.value == ref.stop_reason, backend
-        assert _unit_levels(run) == ref.unit_level, backend
+        assert first_match_levels(run) == ref.unit_level, backend
+        assert [group_tuples(lv.table) for lv in run.levels] == ref.groups, backend
     return ref
 
 

@@ -4,10 +4,12 @@ import numpy as np
 import pytest
 
 import flame_match.engine as engine_mod
+from conftest import first_match_levels, group_tuples
 from flame_match.dataset import Dataset
 from flame_match.engine import (
     FlameConfig,
-    MatchedGroup,
+    LevelRecord,
+    MatchRun,
     StopReason,
     estimate_ate,
     matchrun_levels_csv,
@@ -19,6 +21,8 @@ from flame_match.engine import (
     variance_upper_bound,
 )
 from flame_match.errors import DegenerateHoldoutError, NoEstimateError, SchemaError
+from flame_match.grouper import GroupTable
+from flame_match.quality import match_quality
 from flame_match.synth import SynthSpec, generate
 
 
@@ -42,17 +46,33 @@ def _holdout(seed=0, n=200, p=2):
     return _dataset(covs, t, y)
 
 
-def _group(level, cate, size, signature=(0,)):
-    n_t = max(1, size // 2)
-    return MatchedGroup(
-        level=level,
-        active_signature=signature,
-        unit_ids=tuple(range(size)),
-        n_treated=n_t,
-        n_control=size - n_t,
-        cate=cate,
-        variance_upper_bound=0.0,
+def _record(level, active, groups):
+    """A level whose groups, given as ``(cate, size, signature)``, hold consecutive rows from 0."""
+    sizes = np.array([size for _, size, _ in groups], dtype=np.int64)
+    n_t = np.maximum(1, sizes // 2)
+    offsets = np.concatenate([[0], np.cumsum(sizes)])
+    table = GroupTable(
+        active,
+        np.array([sig for _, _, sig in groups], dtype=np.int64).reshape(-1, len(active)),
+        offsets,
+        np.arange(offsets[-1]),
+        n_t,
+        sizes - n_t,
     )
+    cate = np.array([cate for cate, _, _ in groups], dtype=np.float64)
+    return LevelRecord(level, active, match_quality(0.0, 0.0, 0.001), table, cate, np.zeros(len(groups)))
+
+
+def _fake_run(levels, names=("c0",)):
+    return MatchRun(FlameConfig(), names, (), tuple(levels), StopReason.NO_UNMATCHED_DATA, np.arange(20), np.zeros(0, np.int64))
+
+
+def _n_groups(run):
+    return sum(len(lv.table) for lv in run.levels)
+
+
+def _signatures(lv):
+    return {tuple(sig) for sig in lv.table.signatures.tolist()}
 
 
 def test_variance_upper_bound_values():
@@ -62,23 +82,15 @@ def test_variance_upper_bound_values():
 
 
 def test_estimate_ate_weighted():
-    run = _fake_run([_group(1, 1.0, 4), _group(1, 3.0, 4)])
+    run = _fake_run([_record(1, (0,), [(1.0, 4, (0,)), (3.0, 4, (0,))])])
     assert estimate_ate(run) == pytest.approx(2.0)
-    run_one = _fake_run([_group(1, 7.5, 6)])
+    run_one = _fake_run([_record(1, (0,), [(7.5, 6, (0,))])])
     assert estimate_ate(run_one) == pytest.approx(7.5)
 
 
 def test_estimate_ate_no_groups():
     with pytest.raises(NoEstimateError):
-        estimate_ate(_fake_run([]))
-
-
-def _fake_run(groups, active=(0,), names=("c0",)):
-    from flame_match.engine import LevelRecord, MatchRun
-    from flame_match.quality import match_quality
-
-    record = LevelRecord(1, active, match_quality(0.0, 0.0, 0.001), tuple(groups))
-    return MatchRun(FlameConfig(), names, (), (record,), StopReason.NO_UNMATCHED_DATA, (), 20)
+        estimate_ate(_fake_run([_record(1, (0,), [])]))
 
 
 def test_run_flame_validates_inputs():
@@ -118,7 +130,7 @@ def test_single_arm_matching_stops():
     matching = _dataset([[0, 1], [1, 0], [0, 0]], [1, 1, 1], [1.0, 2.0, 3.0])
     run = run_flame(matching, holdout)
     assert run.stop_reason is StopReason.ONE_ARM_EXHAUSTED
-    assert run.all_groups() == []
+    assert _n_groups(run) == 0
     assert len(run.unmatched_unit_ids) == 3
 
 
@@ -130,8 +142,7 @@ def test_level1_exact_match_and_stop_reasons():
         [1.0, 2.0, 3.0, 4.0, 9.0],
     )
     run = run_flame(matching, _holdout())
-    lvl1 = run.levels[0]
-    assert {g.active_signature for g in lvl1.groups} == {(0, 0), (1, 1)}
+    assert _signatures(run.levels[0]) == {(0, 0), (1, 1)}
     assert run.stop_reason in (StopReason.ONE_ARM_EXHAUSTED, StopReason.PE_BLOWUP)
     assert run.n_matched == 4
 
@@ -172,19 +183,16 @@ def test_without_replacement_groups_disjoint():
     res = generate(SynthSpec(model="decay_exp", n_control=500, n_treated=500, seed=5))
     hold = generate(SynthSpec(model="decay_exp", n_control=500, n_treated=500, seed=6))
     run = run_flame(res.dataset, hold.dataset, FlameConfig(stop_on_pe_blowup=False, max_levels=8))
-    seen = set()
-    for g in run.all_groups():
-        ids = set(g.unit_ids)
-        assert not (ids & seen)
-        seen |= ids
+    rows = np.concatenate([lv.table.rows for lv in run.levels])
+    assert len(set(rows.tolist())) == rows.size
     # each level's active set loses exactly one covariate
     for first, second in zip(run.levels, run.levels[1:]):
         assert len(second.active) == len(first.active) - 1
         assert set(second.active) < set(first.active)
     assert len(set(run.dropped_order)) == len(run.dropped_order)
     # committed groups satisfy the pruning condition
-    for g in run.all_groups():
-        assert g.n_treated >= 1 and g.n_control >= 1
+    for lv in run.levels:
+        assert np.all(lv.table.n_treated >= 1) and np.all(lv.table.n_control >= 1)
 
 
 def test_tie_break_prefers_lowest_index():
@@ -246,16 +254,10 @@ def test_with_replacement_first_match_recorded():
     holdout = _holdout()
     run = run_flame(matching, holdout, FlameConfig(replacement=True, stop_on_pe_blowup=False))
     assert run.stop_reason is StopReason.NO_UNMATCHED_DATA
-    lvl1 = run.levels[0]
-    assert {g.active_signature for g in lvl1.groups} == {(0, 0), (1, 1)}
+    assert _signatures(run.levels[0]) == {(0, 0), (1, 1)}
     assert run.n_matched == 4
     # every unit's first group sits at the earliest level it could match
-    first_level = {}
-    for lv in run.levels:
-        for g in lv.groups:
-            for uid in g.unit_ids:
-                first_level.setdefault(uid, lv.level)
-    assert first_level == {10: 1, 11: 1, 12: 1, 13: 1}
+    assert first_match_levels(run) == {10: 1, 11: 1, 12: 1, 13: 1}
 
 
 def test_with_replacement_groups_keep_full_membership():
@@ -273,11 +275,9 @@ def test_with_replacement_groups_keep_full_membership():
     holdout = _dataset(covs, t_h, 10.0 * covs[:, 1] + t_h + rng.normal(0, 0.1, 200))
     run = run_flame(matching, holdout, FlameConfig(replacement=True, stop_on_pe_blowup=False))
     assert run.dropped_order[0] == 0
-    lvl2 = run.levels[1]
-    assert len(lvl2.groups) == 1
-    group = lvl2.groups[0]
-    assert set(group.unit_ids) == {0, 1, 2}
-    assert (group.n_treated, group.n_control) == (1, 2)
+    [(_, rows, n_t, n_c)] = group_tuples(run.levels[1].table)
+    assert set(run.unit_ids[list(rows)].tolist()) == {0, 1, 2}
+    assert (n_t, n_c) == (1, 2)
     # units 0 and 1 keep their level-1 assignment in the per-unit export
     lines = matchrun_units_csv(run).strip().splitlines()[1:]
     levels_by_unit = {int(line.split(",")[0]): int(line.split(",")[1]) for line in lines}
@@ -285,20 +285,9 @@ def test_with_replacement_groups_keep_full_membership():
 
 
 def test_subpopulation_report_partition_and_marginalized():
-    from flame_match.engine import LevelRecord, MatchRun
-    from flame_match.quality import match_quality
-
-    lvl1 = LevelRecord(
-        1,
-        (0, 1),
-        match_quality(0.0, 1.0, 0.001),
-        (
-            _group(1, 2.0, 4, signature=(0, 1)),
-            _group(1, 6.0, 4, signature=(1, 0)),
-        ),
-    )
-    lvl2 = LevelRecord(2, (1,), match_quality(0.1, 1.0, 0.001), (_group(2, 3.0, 2, signature=(1,)),))
-    run = MatchRun(FlameConfig(), ("c0", "c1"), (0,), (lvl1, lvl2), StopReason.NO_UNMATCHED_DATA, (), 10)
+    lvl1 = _record(1, (0, 1), [(2.0, 4, (0, 1)), (6.0, 4, (1, 0))])
+    lvl2 = _record(2, (1,), [(3.0, 2, (1,))])
+    run = _fake_run([lvl1, lvl2], names=("c0", "c1"))
     report = subpopulation_report(run, 0)
     assert set(report) == {0, 1, "marginalized"}
     assert report[0].mean_cate == pytest.approx(2.0)
@@ -310,7 +299,7 @@ def test_subpopulation_report_partition_and_marginalized():
 
 
 def test_subpopulation_single_group():
-    run = _fake_run([_group(1, 4.0, 6, signature=(1,))])
+    run = _fake_run([_record(1, (0,), [(4.0, 6, (1,))])])
     report = subpopulation_report(run, 0)
     assert set(report) == {1}
     assert report[1].mean_cate == pytest.approx(4.0)
@@ -337,7 +326,7 @@ def test_flat_effect_ate_within_two_percent():
     res = generate(SynthSpec(model="decay_exp", n_control=3000, n_treated=3000, seed=20))
     hold = generate(SynthSpec(model="decay_exp", n_control=3000, n_treated=3000, seed=21))
     run = run_flame(res.dataset, hold.dataset)
-    assert run.all_groups()
+    assert _n_groups(run)
     assert estimate_ate(run) == pytest.approx(10.0, rel=0.02)
 
 
@@ -345,10 +334,10 @@ def test_variance_bound_rises_as_relevant_covariates_drop():
     res = generate(SynthSpec(model="decay_pow", n_control=1500, n_treated=1500, seed=22))
     hold = generate(SynthSpec(model="decay_pow", n_control=1500, n_treated=1500, seed=23))
     run = run_flame(res.dataset, hold.dataset, FlameConfig(stop_on_pe_blowup=False))
-    levels_with_groups = [lv for lv in run.levels if lv.groups]
+    levels_with_groups = [lv for lv in run.levels if len(lv.table)]
     assert len(levels_with_groups) >= 2
-    first = np.mean([g.variance_upper_bound for g in levels_with_groups[0].groups])
-    last = np.mean([g.variance_upper_bound for g in levels_with_groups[-1].groups])
+    first = np.mean(levels_with_groups[0].variance_upper_bound)
+    last = np.mean(levels_with_groups[-1].variance_upper_bound)
     assert last > first
 
 
@@ -366,7 +355,7 @@ def test_unmatchable_arms_zero_groups_pe_blowup():
     holdout = _dataset(hcovs, t_h, y_h)
     run = run_flame(matching, holdout)
     assert run.stop_reason is StopReason.PE_BLOWUP
-    assert run.all_groups() == []
+    assert _n_groups(run) == 0
     assert run.n_matched == 0
 
 
@@ -389,3 +378,28 @@ def test_report_serialization_shapes():
     header, *rows = levels_csv.strip().splitlines()
     assert header == "level,n_active,pe,bf,mq,n_groups,n_matched"
     assert len(rows) == len(run.levels)
+
+
+def test_group_statistics_bit_exact():
+    # one group per (n_treated, n_control) pair: the arm sizes straddle the
+    # 8-way unrolled and the 128-element blocks of numpy's pairwise sum
+    arms = [(1, 1000), (2, 129), (7, 128), (8, 9), (9, 8), (128, 7), (129, 2), (1000, 1), (1, 1), (8, 128)]
+    rng = np.random.default_rng(25)
+    code = np.repeat(np.arange(len(arms)), [n_t + n_c for n_t, n_c in arms])
+    t = np.concatenate([np.repeat([1, 0], pair) for pair in arms])
+    perm = rng.permutation(code.size)  # interleave arms and groups over the rows
+    y = rng.normal(1e3, 1.0, code.size) * rng.choice([1.0, 1e-3, 1e5], code.size)
+    matching = _dataset(np.stack([code[perm], code[perm] % 2], axis=1), t[perm], y)
+    rows = np.arange(40)
+    holdout = _dataset(np.stack([rows % 10, rows // 20], axis=1), rows % 2, rng.normal(size=40))
+    run = run_flame(matching, holdout, FlameConfig(stop_on_pe_blowup=False))
+    [lvl1] = run.levels
+    assert sorted(zip(lvl1.table.n_treated.tolist(), lvl1.table.n_control.tolist())) == sorted(arms)
+    # each group's CATE and variance bound equal the scalar reference on its rows, bit for bit
+    for (_, rows, _, _), cate, bound in zip(group_tuples(lvl1.table), lvl1.cate.tolist(), lvl1.variance_upper_bound.tolist()):
+        rows = np.asarray(rows)
+        t = matching.outcome[rows[matching.treatment[rows] == 1]]
+        c = matching.outcome[rows[matching.treatment[rows] == 0]]
+        assert cate == float(t.mean() - c.mean())
+        assert bound == variance_upper_bound(t, c)
+

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_dataset
+from conftest import group_tuples, random_dataset
 from flame_match.dataset import Dataset, sort_covariates_by_arity
 from flame_match.errors import EmissionError
 from flame_match.grouper import (
@@ -14,7 +14,6 @@ from flame_match.grouper import (
     count_and_flag,
     drop_one_ranks,
     emit_sql,
-    group_table_json,
     match_flags,
     mixed_radix_keys,
 )
@@ -91,11 +90,7 @@ def test_minimal_opposite_pair_flagged():
 
 def test_basic_exact_match_table1(table1):
     res = basic_exact_match(table1, np.arange(4), (0, 1))
-    assert len(res.table) == 1
-    group = res.table.groups[0]
-    assert group.signature == (1, 1)
-    assert group.rows == (1, 3)
-    assert (group.n_treated, group.n_control) == (1, 1)
+    assert group_tuples(res.table) == [((1, 1), (1, 3), 1, 1)]
     assert res.matched.tolist() == [1, 3]
     assert res.remainder.tolist() == [0, 2]
 
@@ -111,22 +106,33 @@ def test_total_collapse_single_group():
     )
     res = basic_exact_match(d, np.arange(5), (0, 1))
     assert len(res.table) == 1
-    assert res.table.groups[0].rows == (0, 1, 2, 3, 4)
+    assert res.table.rows.tolist() == [0, 1, 2, 3, 4]
     assert res.remainder.size == 0
 
 
 def test_empty_considered():
     d = random_dataset(np.random.default_rng(0))
-    res = basic_exact_match(d, np.array([], dtype=np.int64), (0,))
-    assert res.matched.size == 0 and len(res.table) == 0 and res.remainder.size == 0
+    # 70 binary covariates: the fold renumbers mid-way, which an empty row set must survive
+    wide = Dataset(
+        covariates=np.zeros((2, 70), dtype=np.int64),
+        arities=np.full(70, 2),
+        treatment=np.array([0, 1]),
+        outcome=np.zeros(2),
+        covariate_names=tuple(f"c{i}" for i in range(70)),
+        unit_ids=np.arange(2),
+    )
+    for data, active in ((d, (0,)), (wide, tuple(range(70)))):
+        for backend in ("mixed_radix", "tuple_key"):
+            res = basic_exact_match(data, np.array([], dtype=np.int64), active, backend)
+            assert res.matched.size == 0 and len(res.table) == 0 and res.remainder.size == 0
+            assert res.table.signatures.shape == (0, len(active)) and res.table.offsets.tolist() == [0]
 
 
 def _tables_equal(a, b):
-    if len(a) != len(b):
-        return False
-    return all(
-        ga.signature == gb.signature and ga.rows == gb.rows and ga.n_treated == gb.n_treated and ga.n_control == gb.n_control
-        for ga, gb in zip(a.groups, b.groups)
+    columns = ("signatures", "offsets", "rows", "n_treated", "n_control")
+    return a.active == b.active and all(
+        getattr(a, c).dtype == getattr(b, c).dtype == np.int64 and np.array_equal(getattr(a, c), getattr(b, c))
+        for c in columns
     )
 
 
@@ -332,20 +338,15 @@ def test_pruning_soundness_and_flag_consistency():
         active = tuple(range(d.n_covariates))
         considered = np.arange(d.n_units)
         res = basic_exact_match(d, considered, active)
-        for g in res.table.groups:
-            assert 1 <= g.n_treated <= len(g.rows) - 1
-            sigs = {tuple(d.covariates[r, list(active)]) for r in g.rows}
-            assert sigs == {g.signature}
+        for signature, rows, n_t, n_c in group_tuples(res.table):
+            assert 1 <= n_t <= len(rows) - 1 and n_t + n_c == len(rows)
+            assert n_t == int(d.treatment[list(rows)].sum())
+            sigs = {tuple(d.covariates[r, list(active)]) for r in rows}
+            assert sigs == {signature}
         flags, n_t, n_c = match_flags(d, considered, active)
         members = set(res.matched.tolist())
         assert members == set(considered[flags].tolist())
         assert n_t == int(d.treatment[res.matched].sum())
-
-
-def test_group_table_json(table1):
-    res = basic_exact_match(table1, np.arange(4), (0, 1))
-    payload = group_table_json(res.table, table1)
-    assert payload == [{"signature": [1, 1], "unit_ids": [1, 3], "n_treated": 1, "n_control": 1}]
 
 
 def test_emit_sql_contains_required_clauses():
