@@ -13,7 +13,6 @@ import json
 import os
 import sys
 import tempfile
-from dataclasses import dataclass, field
 
 from .errors import FlameError
 
@@ -21,12 +20,6 @@ EXIT_OK = 0
 EXIT_USAGE = 1
 EXIT_DATA = 2
 EXIT_RUNTIME = 3
-
-
-@dataclass(frozen=True)
-class CommandOutcome:
-    exit_code: int = EXIT_OK
-    artifacts: tuple[str, ...] = field(default_factory=tuple)
 
 
 class UsageError(Exception):
@@ -56,7 +49,7 @@ def _split_base(path: str) -> str:
     return base if ext else path
 
 
-def cmd_match(args) -> CommandOutcome:
+def cmd_match(args):
     from .dataset import DatasetSchema, load_csv, split_holdout
     from .engine import (
         FlameConfig,
@@ -90,16 +83,14 @@ def cmd_match(args) -> CommandOutcome:
         seed=args.seed,
     )
     run = run_flame(matching, holdout, config)
-    artifacts = []
     if args.format == "json":
+        written = [args.output]
         _atomic_write(args.output, matchrun_to_json(run) + "\n")
-        artifacts.append(args.output)
     else:
         base = _split_base(args.output)
-        units_path, levels_path = f"{base}.units.csv", f"{base}.levels.csv"
-        _atomic_write(units_path, matchrun_units_csv(run))
-        _atomic_write(levels_path, matchrun_levels_csv(run))
-        artifacts.extend([units_path, levels_path])
+        written = [f"{base}.units.csv", f"{base}.levels.csv"]
+        _atomic_write(written[0], matchrun_units_csv(run))
+        _atomic_write(written[1], matchrun_levels_csv(run))
     n_groups = sum(len(lv.table) for lv in run.levels)
     try:
         ate = f"{estimate_ate(run):.6g}"
@@ -109,27 +100,23 @@ def cmd_match(args) -> CommandOutcome:
         f"levels={len(run.levels)} groups={n_groups} matched={run.n_matched}/{run.n_units} "
         f"ate={ate} stop={run.stop_reason.value}"
     )
-    for path in artifacts:
+    for path in written:
         print(f"wrote {path}")
-    return CommandOutcome(EXIT_OK, tuple(artifacts))
 
 
-def cmd_oracle_bias(args) -> CommandOutcome:
+def cmd_oracle_bias(args):
     from .oracle import bias_matrix, bias_matrix_to_json, format_bias_table
 
     if args.p == 4 and not args.force_heavy:
         raise UsageError("p=4 enumerates ~4.3e9 allocations; pass --force-heavy to run it anyway")
     bm = bias_matrix(args.p, allow_heavy=args.force_heavy)
     print(format_bias_table(bm))
-    artifacts = []
     if args.output:
         _atomic_write(args.output, bias_matrix_to_json(bm) + "\n")
-        artifacts.append(args.output)
         print(f"wrote {args.output}")
-    return CommandOutcome(EXIT_OK, tuple(artifacts))
 
 
-def cmd_synth(args) -> CommandOutcome:
+def cmd_synth(args):
     from .synth import SynthSpec, generate, write_outputs
 
     spec = SynthSpec(
@@ -143,17 +130,15 @@ def cmd_synth(args) -> CommandOutcome:
     csv_path, sidecar = write_outputs(result, args.out)
     print(f"wrote {csv_path}")
     print(f"wrote {sidecar}")
-    return CommandOutcome(EXIT_OK, (csv_path, sidecar))
 
 
-def cmd_sql_emit(args) -> CommandOutcome:
+def cmd_sql_emit(args):
     from .grouper import emit_sql
 
     covariates = [c for c in args.covariates.split(",") if c]
     if not covariates:
         raise UsageError("--covariates must name at least one column")
     print(emit_sql(covariates, args.level, args.table), end="")
-    return CommandOutcome(EXIT_OK)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -172,7 +157,12 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--pe-mode", choices=["relative", "absolute"], default="relative")
     m.add_argument("--no-pe-stop", action="store_true", help="disable the prediction-error stopping rule")
     m.add_argument("--replacement", action="store_true")
-    m.add_argument("--backend", choices=["mixed_radix", "tuple_key"], default="mixed_radix")
+    m.add_argument(
+        "--backend",
+        choices=["mixed_radix", "tuple_key"],
+        default="mixed_radix",
+        help="grouping that commits each level (trial drops always use the prefix/suffix ranks)",
+    )
     m.add_argument("--max-levels", type=int)
     m.add_argument("--mq-drop-threshold", type=float)
     m.add_argument("--seed", type=int, default=0)
@@ -208,8 +198,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
-        outcome = args.func(args)
-        return outcome.exit_code
+        args.func(args)
+        return EXIT_OK
     except UsageError as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE

@@ -4,13 +4,14 @@ Level 1 matches exactly on all covariates. Each later level trial-drops every
 remaining covariate, scores the trial by ``mq = C * BF - PE`` (balancing
 factor of the trial match, prediction error of the reduced covariate set on
 the holdout), permanently drops the best-scoring covariate and commits its
-trial groups. Stopping rules are evaluated in a fixed order so identical
-inputs always produce the identical run trace.
+groups through the same routine as level 1. Stopping rules are evaluated in
+a fixed order so identical inputs always produce the identical run trace.
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass
 from enum import Enum
 
@@ -40,7 +41,10 @@ class FlameConfig:
     ``PE(all) * (1 + epsilon)``, absolute mode when it exceeds
     ``PE(all) + epsilon``. ``mq_drop_threshold`` enables the sudden-drop
     heuristic (stop once the level MQ falls below the threshold after having
-    been at or above it); it is off by default.
+    been at or above it); it is off by default. ``c_param``, ``epsilon``
+    and ``mq_drop_threshold`` must be finite. ``backend`` chooses the
+    grouping that commits each level; trial drops are always scored from
+    :func:`drop_one_ranks`.
     """
 
     c_param: float = 0.001
@@ -54,6 +58,10 @@ class FlameConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("c_param", "epsilon", "mq_drop_threshold"):
+            value = getattr(self, name)
+            if value is not None and not math.isfinite(value):
+                raise ValueError(f"{name} must be finite, got {value}")
         if self.c_param < 0:
             raise ValueError("c_param must be >= 0")
         if self.epsilon < 0:
@@ -154,16 +162,37 @@ def _validate_inputs(matching: Dataset, holdout: Dataset):
         raise DegenerateHoldoutError("holdout must contain both treated and control units")
 
 
+def _commit(
+    d: Dataset, pool: np.ndarray, active, unmatched: np.ndarray, pe: float, config: FlameConfig, level: int
+) -> LevelRecord:
+    """Group ``pool`` on ``active``, keep the groups holding a first match and stamp those units.
+
+    Groups keep their full membership, so with replacement a kept group can
+    also hold units matched at earlier levels; without replacement, and at
+    level 1, every member is a first match. BF counts the first matches of
+    each arm over the units unmatched before the stamp.
+    """
+    table = basic_exact_match(d, pool, tuple(active), config.backend).table
+    newly = unmatched[table.rows]
+    keep = np.zeros(len(table), dtype=bool)
+    keep[table.member_groups()[newly]] = True
+    avail_t = int(d.treatment[unmatched].sum())
+    new_rows = table.rows[newly]
+    new_t = int(d.treatment[new_rows].sum())
+    bf = balancing_factor(new_rows.size - new_t, int(np.count_nonzero(unmatched)) - avail_t, new_t, avail_t)
+    unmatched[new_rows] = False
+    return _level_record(d, level, active, match_quality(pe, bf, config.c_param), table.subset(keep))
+
+
 def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = None) -> MatchRun:
     """Run the full elimination loop and return its complete trace.
 
-    Level 1 matches exactly on every covariate. Each later level scores the
-    drop of every active covariate with one :func:`match_flags` call on the
-    pool (the unmatched units, or every unit with replacement); on
-    ``mixed_radix`` those calls share one :func:`drop_one_ranks` build per
-    level. The highest ``mq`` wins, the lowest covariate index on a tie;
-    the stopping rules are checked on the winner before its groups are
-    committed.
+    Every level commits the exact match of the pool (the unmatched units, or
+    every unit with replacement) on its active covariates; level 1 has them
+    all. Before each later level, one :func:`drop_one_ranks` build scores
+    the drop of every active covariate with one :func:`match_flags` call.
+    The highest ``mq`` wins, the lowest covariate index on a tie; the
+    stopping rules are checked on the winner before its level is committed.
     """
     config = config or FlameConfig()
     _validate_inputs(matching, holdout)
@@ -188,23 +217,16 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
     levels: list[LevelRecord] = []
     dropped: list[int] = []
 
-    # level 1: exact match on every covariate
-    avail_t, avail_c = matching.n_treated, matching.n_control
-    res = basic_exact_match(matching, all_rows, tuple(active), config.backend)
-    n_t = int(matching.treatment[res.matched].sum())
-    bf = balancing_factor(len(res.matched) - n_t, avail_c, n_t, avail_t)
-    levels.append(_level_record(matching, 1, active, match_quality(pe_full, bf, config.c_param), res.table))
-    unmatched[res.matched] = False
-
-    stop = None
-    while stop is None:
+    pool, pe = all_rows, pe_full
+    while True:
+        levels.append(_commit(matching, pool, active, unmatched, pe, config, len(levels) + 1))
         un_rows = np.flatnonzero(unmatched)
         if un_rows.size == 0:
             stop = StopReason.NO_UNMATCHED_DATA
             break
         pool = all_rows if config.replacement else un_rows
-        pool_t = matching.treatment[pool]
-        if not ((pool_t == 1).any() and (pool_t == 0).any()):
+        pool_treated = matching.treatment[pool] == 1
+        if pool_treated.all() or not pool_treated.any():
             stop = StopReason.ONE_ARM_EXHAUSTED
             break
         if len(active) <= 1:
@@ -213,34 +235,28 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
 
         avail_t = int(matching.treatment[un_rows].sum())
         avail_c = un_rows.size - avail_t
-
+        pool_unmatched = unmatched[pool]
         # one prefix/suffix rank build serves every trial drop of this level
-        ranks = drop_one_ranks(matching, pool, active) if config.backend == "mixed_radix" else None
-        if config.replacement:
-            pool_unmatched = unmatched[pool]
-            pool_treated = pool_t == 1
-        best = None  # (mq, j, pe, bf); ties keep the lowest covariate index
+        ranks = drop_one_ranks(matching, pool, active)
+        best = None  # (mq, j, pe); ties keep the lowest covariate index
         for j in active:
             cand = tuple(a for a in active if a != j)
-            flags, new_t, new_c = match_flags(matching, pool, cand, config.backend, ranks=ranks)
-            if config.replacement:
-                newly = flags & pool_unmatched
-                new_t = int(np.count_nonzero(newly & pool_treated))
-                new_c = int(np.count_nonzero(newly)) - new_t
-            bf_j = balancing_factor(new_c, avail_c, new_t, avail_t)
+            newly = match_flags(matching, pool, cand, ranks=ranks) & pool_unmatched
+            new_t = int(np.count_nonzero(newly & pool_treated))
+            bf_j = balancing_factor(int(np.count_nonzero(newly)) - new_t, avail_c, new_t, avail_t)
             pe_j = pe_of(cand)
             mq_j = config.c_param * bf_j - pe_j
             if best is None or mq_j > best[0]:
-                best = (mq_j, j, pe_j, bf_j)
+                best = (mq_j, j, pe_j)
 
-        best_mq, best_j, best_pe, best_bf = best
+        best_mq, best_j, pe = best
         del ranks  # free the rank blocks before the commit allocates its own arrays
         if config.stop_on_pe_blowup:
             if config.pe_blowup_mode == "relative":
                 threshold = pe_full * (1.0 + config.epsilon)
             else:
                 threshold = pe_full + config.epsilon
-            if best_pe > threshold:
+            if pe > threshold:
                 stop = StopReason.PE_BLOWUP
                 break
         if config.mq_drop_threshold is not None:
@@ -254,20 +270,6 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
 
         active.remove(best_j)
         dropped.append(best_j)
-        res = basic_exact_match(matching, pool, tuple(active), config.backend)
-        table = res.table
-        if config.replacement:
-            # groups keep their full membership; only a group holding a
-            # first-time match is kept, and only those consume the pool
-            newly = unmatched[table.rows]
-            keep = np.zeros(len(table), dtype=bool)
-            keep[table.member_groups()[newly]] = True
-            unmatched[table.rows[newly]] = False
-            table = table.subset(keep)
-        else:
-            unmatched[res.matched] = False
-        quality = match_quality(best_pe, best_bf, config.c_param)
-        levels.append(_level_record(matching, len(levels) + 1, active, quality, table))
 
     return MatchRun(
         config=config,

@@ -1,7 +1,7 @@
 """Exact-match grouping on an active covariate subset.
 
-Two interchangeable backends produce the identical columnar
-:class:`GroupTable`:
+Two interchangeable backends of :func:`basic_exact_match` produce the
+identical columnar :class:`GroupTable`:
 
 * ``mixed_radix``: each unit's active codes fold, most significant first,
   into one dense int64 group id numbered in lexicographic signature order
@@ -9,6 +9,9 @@ Two interchangeable backends produce the identical columnar
   the matched flags and the group table in one pass; and
 * ``tuple_key``: plain dict grouping on the full code tuples, kept as the
   slow independent reference.
+
+:func:`match_flags`, which scores trial drops, always takes the dense ids,
+from :func:`_group_ids` or from one :func:`drop_one_ranks` build per level.
 
 :func:`mixed_radix_keys` and :func:`count_and_flag` keep the paper's
 positional-key formulation (a unit is matched iff its covariate-key count
@@ -21,6 +24,7 @@ the grouping against a live table.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 
 import numpy as np
@@ -253,61 +257,43 @@ class GroupTable:
 class MatchResult:
     matched: np.ndarray
     table: GroupTable
-    remainder: np.ndarray
 
 
-def match_flags(d: Dataset, considered, active, backend: str = "mixed_radix", ranks: DropOneRanks | None = None):
-    """Matched-or-not flags over ``considered`` plus per-arm matched counts.
+def match_flags(d: Dataset, considered, active, ranks: DropOneRanks | None = None) -> np.ndarray:
+    """Matched-or-not flag of each ``considered`` row on ``active``.
 
     Lighter than :func:`basic_exact_match`: no group table is built. Used for
     per-candidate trial scoring where only the balancing factor is needed.
     With ``ranks`` from :func:`drop_one_ranks` on the same ``considered``
-    rows (``mixed_radix`` only), ``active`` must be ``ranks.active`` minus
-    one covariate, and the group ids come from its prefix and suffix ranks
-    instead of a gather and fold of the codes.
+    rows, ``active`` must be ``ranks.active`` minus one covariate, and the
+    group ids come from its prefix and suffix ranks instead of a gather and
+    fold of the codes.
     """
     considered = np.asarray(considered)
     active = check_active(active, d.n_covariates)
-    if ranks is not None and backend != "mixed_radix":
-        raise ValueError(f"ranks apply to the mixed_radix backend, not {backend!r}")
     if considered.size == 0:
-        empty = np.zeros(0, dtype=bool)
-        return empty, 0, 0
-    t_considered = d.treatment[considered]
-    treated_rows = t_considered == 1
-    if backend == "mixed_radix":
-        if ranks is None:
-            gid, n_groups = _group_ids(d, considered, active)
-        else:
-            gid, n_groups = _drop_one_ids(ranks, considered.size, active)
-        sizes, treated = _arm_counts(gid, n_groups, treated_rows)
-        flags = ((treated > 0) & (treated < sizes))[gid]
-    elif backend == "tuple_key":
-        tallies: dict[tuple, list[int]] = {}
-        codes = d.covariates[considered][:, active].tolist()
-        for sig, ti in zip(codes, t_considered.tolist()):
-            entry = tallies.setdefault(tuple(sig), [0, 0])
-            entry[ti] += 1
-        flags = np.array([min(tallies[tuple(sig)]) > 0 for sig in codes], dtype=bool)
+        return np.zeros(0, dtype=bool)
+    if ranks is None:
+        gid, n_groups = _group_ids(d, considered, active)
     else:
-        raise ValueError(f"unknown backend {backend!r}")
-    n_t = int(np.count_nonzero(flags & treated_rows))
-    return flags, n_t, int(np.count_nonzero(flags)) - n_t
+        gid, n_groups = _drop_one_ids(ranks, considered.size, active)
+    sizes, treated = _arm_counts(gid, n_groups, d.treatment[considered] == 1)
+    return ((treated > 0) & (treated < sizes))[gid]
 
 
 def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radix") -> MatchResult:
     """Partition the considered units by exact equality on the active covariates.
 
     Groups lacking a treated or a control member are pruned; matched units
-    are members of surviving groups, the remainder is everything else. Both
-    backends return the identical :class:`GroupTable`.
+    are members of surviving groups, in row order. Both backends return the
+    identical :class:`GroupTable`.
     """
     considered = np.asarray(considered, dtype=np.int64)
     active = check_active(active, d.n_covariates)
     if considered.size == 0:
         none = np.zeros(0, dtype=np.int64)
         table = GroupTable(active, np.zeros((0, len(active)), dtype=np.int64), np.zeros(1, dtype=np.int64), none, none, none)
-        return MatchResult(none, table, none)
+        return MatchResult(none, table)
 
     if backend == "tuple_key":
         buckets: dict[tuple, list[int]] = {}
@@ -320,7 +306,6 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
         sizes = np.array([len(rows) for _, rows in groups], dtype=np.int64)
         treated = np.array([d.treatment[rows].sum() for _, rows in groups], dtype=np.int64)
         matched = np.sort(members)
-        remainder = considered[~np.isin(considered, matched, assume_unique=True)]
     elif backend == "mixed_radix":
         gid, n_groups = _group_ids(d, considered, active)
         sizes, treated = _arm_counts(gid, n_groups, d.treatment[considered] == 1)
@@ -334,13 +319,12 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
         sizes, treated = sizes[ids], treated[ids]
         signatures = d.covariates[np.ix_(members[np.cumsum(sizes) - sizes], active)]
         matched = np.sort(hit)
-        remainder = considered[~flags]
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     table = GroupTable(active, signatures, offsets, members, treated, sizes - treated)
-    return MatchResult(matched, table, remainder)
+    return MatchResult(matched, table)
 
 
 _SQL_TEMPLATE = """WITH tempgroups AS
@@ -361,7 +345,8 @@ WHERE EXISTS
 
 
 def _check_identifier(name: str) -> str:
-    if not name or any(ch.isspace() or ch in "'\"`;" for ch in name):
+    """Accept only plain SQL identifiers: ``[A-Za-z_][A-Za-z0-9_]*``."""
+    if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
         raise EmissionError(f"identifier {name!r} cannot be embedded in SQL without quoting")
     return name
 

@@ -19,6 +19,7 @@ class ReferenceRun:
     unit_level: dict  # row -> level at which the row was first matched
     scores: list  # per scored level: {covariate: mq of dropping it}
     groups: list  # per committed level: [(signature, rows, n_treated, n_control)], by signature
+    level_mqs: list  # per committed level: its MQ, C * BF - PE
 
 
 def _valid_groups(codes, treatment, pool, active):
@@ -122,4 +123,4 @@ def reference_flame(
         level_mqs.append(best_mq)
         committed.append(_commit(_valid_groups(codes, treatment, pool, active), treatment, level_of, len(level_mqs)))
 
-    return ReferenceRun(dropped, stop, level_of, scores, committed)
+    return ReferenceRun(dropped, stop, level_of, scores, committed, level_mqs)

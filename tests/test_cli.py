@@ -233,3 +233,32 @@ def test_match_too_few_units_to_split_is_data_error(tmp_path, capsys, write_csv)
     )
     assert code == EXIT_DATA
     assert "need at least 2 units" in err and len(err.strip().splitlines()) == 1
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [
+        ("--c", "nan"),
+        ("--c", "inf"),
+        ("--epsilon", "inf"),
+        ("--epsilon", "nan"),
+        ("--mq-drop-threshold", "nan"),
+        ("--mq-drop-threshold", "-inf"),
+    ],
+)
+def test_match_non_finite_option_is_usage_error(flag, value, table1_csv, tmp_path, capsys):
+    # a NaN or infinite knob would be written into the JSON report as bare NaN/Infinity
+    out_path = tmp_path / "run.json"
+    code, _, err = run_cli(
+        capsys,
+        "match",
+        "--input", table1_csv,
+        "--holdout", table1_csv,
+        "--treatment", "T",
+        "--outcome", "Y",
+        f"{flag}={value}",
+        "--output", str(out_path),
+    )
+    assert code == EXIT_USAGE
+    assert "must be finite" in err and len(err.strip().splitlines()) == 1
+    assert not out_path.exists()

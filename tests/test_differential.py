@@ -34,6 +34,7 @@ def _check_against_reference(matching, holdout, **options):
         assert run.stop_reason.value == ref.stop_reason, backend
         assert first_match_levels(run) == ref.unit_level, backend
         assert [group_tuples(lv.table) for lv in run.levels] == ref.groups, backend
+        assert [lv.quality.mq for lv in run.levels] == ref.level_mqs, backend
     return ref
 
 
