@@ -67,7 +67,7 @@ def cmd_match(args):
     schema = DatasetSchema(args.treatment, args.outcome, covariates)
     full = load_csv(args.input, schema)
     if args.holdout is not None:
-        encodings = None if full.encodings is None else dict(zip(full.covariate_names, map(list, full.encodings)))
+        encodings = dict(zip(full.covariate_names, map(list, full.encodings)))
         matching, holdout = full, load_csv(args.holdout, schema, encodings=encodings)
     else:
         matching, holdout = split_holdout(full, args.holdout_frac, args.seed)

@@ -203,15 +203,8 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
     if n == 0:
         return MatchRun(config, names, (), (), StopReason.NO_UNMATCHED_DATA, matching.unit_ids, matching.unit_ids)
 
-    pe_cache: dict[tuple[int, ...], float] = {}
-
-    def pe_of(active: tuple[int, ...]) -> float:
-        if active not in pe_cache:
-            pe_cache[active] = prediction_error(holdout, active)
-        return pe_cache[active]
-
     active = list(range(p))
-    pe_full = pe_of(tuple(active))
+    pe_full = prediction_error(holdout, active)
     unmatched = np.ones(n, dtype=bool)
     all_rows = np.arange(n)
     levels: list[LevelRecord] = []
@@ -244,7 +237,7 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
             newly = match_flags(matching, pool, cand, ranks=ranks) & pool_unmatched
             new_t = int(np.count_nonzero(newly & pool_treated))
             bf_j = balancing_factor(int(np.count_nonzero(newly)) - new_t, avail_c, new_t, avail_t)
-            pe_j = pe_of(cand)
+            pe_j = prediction_error(holdout, cand)
             mq_j = config.c_param * bf_j - pe_j
             if best is None or mq_j > best[0]:
                 best = (mq_j, j, pe_j)

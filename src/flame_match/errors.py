@@ -19,7 +19,3 @@ class DegenerateHoldoutError(FlameError):
 
 class NoEstimateError(FlameError):
     """No matched groups exist, so no effect estimate can be produced."""
-
-
-class EmissionError(FlameError):
-    """An identifier cannot be embedded verbatim in emitted SQL text."""

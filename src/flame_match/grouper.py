@@ -6,12 +6,13 @@ identical columnar :class:`GroupTable`:
 * ``mixed_radix``: each unit's active codes fold, most significant first,
   into one dense int64 group id numbered in lexicographic signature order
   (:func:`_group_ids`); per-group arm counts from ``np.bincount`` then give
-  the matched flags and the group table in one pass; and
+  the group table in one pass; and
 * ``tuple_key``: plain dict grouping on the full code tuples, kept as the
   slow independent reference.
 
-:func:`match_flags`, which scores trial drops, always takes the dense ids,
-from :func:`_group_ids` or from one :func:`drop_one_ranks` build per level.
+:func:`match_flags`, which scores trial drops, takes each drop's dense ids
+from the prefix and suffix ranks of one :func:`drop_one_ranks` build per
+level, and flags rows through the same per-group arm counts.
 
 :func:`mixed_radix_keys` and :func:`count_and_flag` keep the paper's
 positional-key formulation (a unit is matched iff its covariate-key count
@@ -30,7 +31,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .dataset import Dataset
-from .errors import EmissionError
 
 INT64_MAX = np.iinfo(np.int64).max
 
@@ -171,9 +171,9 @@ def drop_one_ranks(d: Dataset, considered, active) -> DropOneRanks:
     """Prefix and suffix ranks of ``active`` over ``considered``, for scoring every single-covariate drop.
 
     Built column by column with the same order-preserving tally as
-    :func:`_group_ids`, in O(n) per covariate and sweep. Pass the result as
-    ``ranks=`` to :func:`match_flags` with the same ``considered`` rows and
-    ``active`` minus one covariate.
+    :func:`_group_ids`, in O(n) per covariate and sweep. Pass the result to
+    :func:`match_flags` with the same ``considered`` rows and ``active``
+    minus one covariate.
     """
     considered = np.asarray(considered)
     active = check_active(active, d.n_covariates)
@@ -255,28 +255,26 @@ class GroupTable:
 
 @dataclass(frozen=True)
 class MatchResult:
-    matched: np.ndarray
     table: GroupTable
 
+    @property
+    def matched(self) -> np.ndarray:
+        """The rows of every valid group, in row order."""
+        return np.sort(self.table.rows)
 
-def match_flags(d: Dataset, considered, active, ranks: DropOneRanks | None = None) -> np.ndarray:
+
+def match_flags(d: Dataset, considered, active, ranks: DropOneRanks) -> np.ndarray:
     """Matched-or-not flag of each ``considered`` row on ``active``.
 
     Lighter than :func:`basic_exact_match`: no group table is built. Used for
     per-candidate trial scoring where only the balancing factor is needed.
-    With ``ranks`` from :func:`drop_one_ranks` on the same ``considered``
+    ``ranks`` comes from :func:`drop_one_ranks` on the same ``considered``
     rows, ``active`` must be ``ranks.active`` minus one covariate, and the
-    group ids come from its prefix and suffix ranks instead of a gather and
-    fold of the codes.
+    group ids come from its prefix and suffix ranks.
     """
     considered = np.asarray(considered)
     active = check_active(active, d.n_covariates)
-    if considered.size == 0:
-        return np.zeros(0, dtype=bool)
-    if ranks is None:
-        gid, n_groups = _group_ids(d, considered, active)
-    else:
-        gid, n_groups = _drop_one_ids(ranks, considered.size, active)
+    gid, n_groups = _drop_one_ids(ranks, considered.size, active)
     sizes, treated = _arm_counts(gid, n_groups, d.treatment[considered] == 1)
     return ((treated > 0) & (treated < sizes))[gid]
 
@@ -293,7 +291,7 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
     if considered.size == 0:
         none = np.zeros(0, dtype=np.int64)
         table = GroupTable(active, np.zeros((0, len(active)), dtype=np.int64), np.zeros(1, dtype=np.int64), none, none, none)
-        return MatchResult(none, table)
+        return MatchResult(table)
 
     if backend == "tuple_key":
         buckets: dict[tuple, list[int]] = {}
@@ -305,7 +303,6 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
         members = np.array([r for _, rows in groups for r in rows], dtype=np.int64)
         sizes = np.array([len(rows) for _, rows in groups], dtype=np.int64)
         treated = np.array([d.treatment[rows].sum() for _, rows in groups], dtype=np.int64)
-        matched = np.sort(members)
     elif backend == "mixed_radix":
         gid, n_groups = _group_ids(d, considered, active)
         sizes, treated = _arm_counts(gid, n_groups, d.treatment[considered] == 1)
@@ -318,13 +315,12 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
         ids = np.flatnonzero(valid)
         sizes, treated = sizes[ids], treated[ids]
         signatures = d.covariates[np.ix_(members[np.cumsum(sizes) - sizes], active)]
-        matched = np.sort(hit)
     else:
         raise ValueError(f"unknown backend {backend!r}")
 
     offsets = np.concatenate(([0], np.cumsum(sizes)))
     table = GroupTable(active, signatures, offsets, members, treated, sizes - treated)
-    return MatchResult(matched, table)
+    return MatchResult(table)
 
 
 _SQL_TEMPLATE = """WITH tempgroups AS
@@ -344,10 +340,12 @@ WHERE EXISTS
 """
 
 
-def _check_identifier(name: str) -> str:
-    """Accept only plain SQL identifiers: ``[A-Za-z_][A-Za-z0-9_]*``."""
+def _check_identifier(name: str, reserved: tuple[str, ...]) -> str:
+    """Accept only plain SQL identifiers (``[A-Za-z_][A-Za-z0-9_]*``) outside ``reserved``, in any case."""
     if not re.fullmatch(r"[A-Za-z_][A-Za-z0-9_]*", name):
-        raise EmissionError(f"identifier {name!r} cannot be embedded in SQL without quoting")
+        raise ValueError(f"identifier {name!r} cannot be embedded in SQL without quoting")
+    if name.lower() in reserved:
+        raise ValueError(f"identifier {name!r} clashes with the SQL template's own {name.lower()!r}")
     return name
 
 
@@ -356,14 +354,17 @@ def emit_sql(covariates, level: int, table_name: str = "D") -> str:
 
     The HAVING clause keeps exactly the groups with at least one treated and
     at least one control member; matched units get ``is_matched = level``.
-    Text emission only; nothing here talks to a database.
+    Covariates may not be named ``T`` or ``is_matched``, the table's
+    treatment and stamp columns, and the table may not be named ``S`` or
+    ``tempgroups``, the template's own alias and CTE. Text emission only;
+    nothing here talks to a database.
     """
-    names = [_check_identifier(c) for c in covariates]
+    names = [_check_identifier(c, ("t", "is_matched")) for c in covariates]
     if not names:
         raise ValueError("need at least one covariate name")
     if int(level) != level or level < 1:
         raise ValueError(f"level must be an integer >= 1, got {level}")
-    _check_identifier(table_name)
+    _check_identifier(table_name, ("s", "tempgroups"))
     cols = ", ".join(names)
     qualified = ", ".join(f"{table_name}.{c}" for c in names)
     joins = " AND ".join(f"S.{c} = {table_name}.{c}" for c in names)

@@ -212,7 +212,6 @@ def bias_matrix(p: int, allow_heavy: bool = False) -> BiasMatrix:
     width = 2 * (p + 1)
     # common denominator for all group means: arm sizes never exceed 2^p
     scale = math.lcm(*range(1, nbins + 1)) ** 2
-    truth = [_outcome_vec(b, True, p)[p + 1 :] for b in range(nbins)]
     acc = [[0] * width for _ in range(nbins)]
     valid = 0
     for digits in product(tuple(BinState), repeat=nbins):
@@ -226,19 +225,18 @@ def bias_matrix(p: int, allow_heavy: bool = False) -> BiasMatrix:
             f = scale // den[b]
             vec = num[b]
             row = acc[b]
-            tb = truth[b]
-            for i in range(p + 1):
+            for i in range(width):
                 row[i] += vec[i] * f
-            for i in range(p + 1, width):
-                row[i] += (vec[i] - den[b] * tb[i - (p + 1)]) * f
     if valid == 0:
         raise ValueError(f"no valid allocations for p={p}")
+    # bias = mean estimate over the valid allocations minus the true effect
     total = scale * valid
     entries = tuple(
         LinearSymbolic(
             tuple(Fraction(acc[b][i], total) for i in range(p + 1)),
             tuple(Fraction(acc[b][i], total) for i in range(p + 1, width)),
         )
+        - true_cate(b, p)
         for b in range(nbins)
     )
     return BiasMatrix(p=p, valid_count=valid, entries=entries)

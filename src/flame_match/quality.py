@@ -19,16 +19,16 @@ from .grouper import check_active
 DEFAULT_RIDGE = 1e-6
 
 
-def _fit(X: np.ndarray, y: np.ndarray, ridge: float = DEFAULT_RIDGE) -> np.ndarray:
-    """Least squares with intercept; ridge on non-intercept weights only.
+def _fit(X: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Least squares of ``y`` on the float block ``X`` with intercept; ridge on non-intercept weights only.
 
     The ridge keeps the normal equations solvable after covariate drops leave
     an arm with fewer units than coefficients.
     """
     n, m = X.shape
-    Z = np.column_stack([np.ones(n), X.astype(np.float64)])
+    Z = np.column_stack([np.ones(n), X])
     G = Z.T @ Z
-    G[1:, 1:] += ridge * np.eye(m)
+    G[1:, 1:] += DEFAULT_RIDGE * np.eye(m)
     return np.linalg.solve(G, Z.T @ y)
 
 
@@ -48,42 +48,31 @@ class LevelQuality:
     c_param: float
 
 
-def _arm_rows(holdout: Dataset):
-    control = np.flatnonzero(holdout.treatment == 0)
-    treated = np.flatnonzero(holdout.treatment == 1)
-    if control.size == 0 or treated.size == 0:
-        raise DegenerateHoldoutError("holdout must contain at least one treated and one control unit")
-    return control, treated
-
-
-def _check_quality_active(active, p) -> tuple[int, ...]:
+def _arm_fits(holdout: Dataset, active):
+    """Per arm, control then treated: its float64 codes on ``active``, its outcomes and its :func:`_fit`."""
     # unlike grouping, an empty active set is meaningful here: the model
     # degenerates to a per-arm intercept
-    return check_active(active, p) if len(tuple(active)) else ()
+    active = check_active(active, holdout.n_covariates) if len(tuple(active)) else ()
+    arms = [np.flatnonzero(holdout.treatment == t) for t in (0, 1)]
+    if any(rows.size == 0 for rows in arms):
+        raise DegenerateHoldoutError("holdout must contain at least one treated and one control unit")
+    # gathering the columns before the rows keeps each block C-ordered, which
+    # fixes the summation order of the fit and so every bit of the residuals
+    codes = holdout.covariates[:, list(active)]
+    for rows in arms:
+        X, y = codes[rows].astype(np.float64), holdout.outcome[rows]
+        yield X, y, _fit(X, y)
 
 
-def fit_predictor(holdout: Dataset, active, ridge: float = DEFAULT_RIDGE) -> PredictorPair:
+def fit_predictor(holdout: Dataset, active) -> PredictorPair:
     """Fit the linear model per arm on the active covariate codes."""
-    active = _check_quality_active(active, holdout.n_covariates)
-    control, treated = _arm_rows(holdout)
-    X = holdout.covariates[:, list(active)]
-    return PredictorPair(
-        model_control=_fit(X[control], holdout.outcome[control], ridge),
-        model_treatment=_fit(X[treated], holdout.outcome[treated], ridge),
-    )
+    (_, _, control), (_, _, treated) = _arm_fits(holdout, active)
+    return PredictorPair(model_control=control, model_treatment=treated)
 
 
 def _arm_residuals(holdout: Dataset, active) -> tuple[np.ndarray, np.ndarray]:
     """Residuals of each arm's own fitted model on its holdout units: (control, treated)."""
-    active = _check_quality_active(active, holdout.n_covariates)
-    control, treated = _arm_rows(holdout)
-    X = holdout.covariates[:, list(active)]
-    y = holdout.outcome
-    out = []
-    for rows in (control, treated):
-        coeffs = _fit(X[rows], y[rows])
-        out.append(y[rows] - (coeffs[0] + X[rows].astype(np.float64) @ coeffs[1:]))
-    return tuple(out)
+    return tuple(y - (coeffs[0] + X @ coeffs[1:]) for X, y, coeffs in _arm_fits(holdout, active))
 
 
 def arm_prediction_errors(holdout: Dataset, active):

@@ -180,6 +180,14 @@ def test_sql_emit_empty_covariates(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+@pytest.mark.parametrize("flag, value", [("--covariates", "a--"), ("--covariates", "T"), ("--table", "S")])
+def test_sql_emit_bad_identifier_is_usage_error(flag, value, capsys):
+    args = {"--covariates": "A", "--table": "D", flag: value}
+    code, out, err = run_cli(capsys, "sql-emit", "--level", "1", *(x for kv in args.items() for x in kv))
+    assert code == EXIT_USAGE
+    assert out == "" and err.startswith("usage error:") and len(err.strip().splitlines()) == 1
+
+
 @pytest.mark.parametrize("bad", ["nan", "inf", "-Infinity"])
 def test_match_non_finite_outcome_is_data_error(bad, tmp_path, capsys, write_csv):
     rows = [[i % 2, (i // 2) % 2, i % 2, float(i)] for i in range(60)]

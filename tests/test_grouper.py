@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 
 from conftest import group_tuples, random_dataset
 from flame_match.dataset import Dataset, sort_covariates_by_arity
-from flame_match.errors import EmissionError
 from flame_match.grouper import (
     _group_ids,
     basic_exact_match,
@@ -151,7 +150,8 @@ def test_backend_equivalence_random():
         res_b = basic_exact_match(d, considered, active, backend="tuple_key")
         assert _tables_equal(res_a.table, res_b.table)
         assert np.array_equal(res_a.matched, res_b.matched)
-        assert np.array_equal(match_flags(d, considered, active), _reference_flags(d, considered, active))
+        if len(active) >= 2:
+            _check_every_drop(d, considered, active)
 
 
 def test_big_key_fallback_matches_tuple_backend():
@@ -174,6 +174,7 @@ def test_big_key_fallback_matches_tuple_backend():
     res_a = basic_exact_match(d, np.arange(n), active, backend="mixed_radix")
     res_b = basic_exact_match(d, np.arange(n), active, backend="tuple_key")
     assert _tables_equal(res_a.table, res_b.table)
+    _check_every_drop(d, np.arange(n), active)
 
 
 @pytest.mark.parametrize("p, arity", [(70, 2), (12, 50)])
@@ -202,16 +203,15 @@ def test_renumbering_matches_tuple_backend(p, arity):
     res_b = basic_exact_match(d, considered, active, backend="tuple_key")
     assert len(res_a.table) > 0 and _tables_equal(res_a.table, res_b.table)
     assert np.array_equal(res_a.matched, res_b.matched)
-    assert np.array_equal(match_flags(d, considered, active), _reference_flags(d, considered, active))
+    _check_every_drop(d, considered, active)
 
 
 def _check_every_drop(d, considered, active):
-    """match_flags from one rank build equals the direct fold and tuple_key for every drop."""
+    """match_flags from one rank build equals tuple_key for every drop."""
     ranks = drop_one_ranks(d, considered, active)
     for j in active:
         cand = tuple(a for a in active if a != j)
         flags = match_flags(d, considered, cand, ranks=ranks)
-        assert np.array_equal(flags, match_flags(d, considered, cand))
         assert np.array_equal(flags, _reference_flags(d, considered, cand))
     return ranks
 
@@ -265,7 +265,6 @@ def test_drop_one_ranks_empty_considered():
     empty = np.array([], dtype=np.int64)
     ranks = drop_one_ranks(d, empty, (0, 1, 2))
     assert match_flags(d, empty, (0, 2), ranks=ranks).size == 0
-    assert match_flags(d, empty, (0, 2)).size == 0
 
 
 def test_drop_one_ranks_rejects_mismatched_calls():
@@ -335,8 +334,6 @@ def test_pruning_soundness_and_flag_consistency():
             assert n_t == int(d.treatment[list(rows)].sum())
             sigs = {tuple(d.covariates[r, list(active)]) for r in rows}
             assert sigs == {signature}
-        flags = match_flags(d, considered, active)
-        assert res.matched.tolist() == considered[flags].tolist()
 
 
 def test_emit_sql_contains_required_clauses():
@@ -359,11 +356,15 @@ def test_emit_sql_level_substitution():
 
 
 def test_emit_sql_rejects_bad_identifiers():
-    for bad in ("a b", "a'b", 'a"b', "a;b", "", "a--", "a,b", "a)", "1a", "a.b"):
-        with pytest.raises((EmissionError, ValueError)):
+    # T and is_matched are the template's treatment and stamp columns
+    quoted = ("a b", "a'b", 'a"b', "a;b", "", "a--", "a,b", "a)", "1a", "a.b")
+    for bad in (*quoted, "T", "t", "is_matched", "IS_Matched"):
+        with pytest.raises(ValueError):
             emit_sql([bad] if bad else [], 1, "D")
-    with pytest.raises(EmissionError):
-        emit_sql(["A"], 1, "my table")
+    # S and tempgroups are the template's alias and CTE
+    for bad in ("my table", "S", "s", "tempgroups", "TempGroups"):
+        with pytest.raises(ValueError):
+            emit_sql(["A"], 1, bad)
     with pytest.raises(ValueError):
         emit_sql(["A"], 0, "D")
 
