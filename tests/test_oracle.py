@@ -1,6 +1,7 @@
 import itertools
 import json
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -11,10 +12,13 @@ from flame_match.oracle import (
     bias_matrix_to_json,
     bin_bits,
     format_bias_table,
+    format_symbolic,
     oracle_flame,
     true_cate,
     unit_outcome,
 )
+
+GOLDEN = Path(__file__).resolve().parent / "golden"
 
 E, T, C, B = BinState.EMPTY, BinState.TREATED_ONLY, BinState.CONTROL_ONLY, BinState.BOTH
 F = Fraction
@@ -163,3 +167,19 @@ def test_table_and_json_output():
     assert payload["entries"][0]["bin"] == [0, 0]
     assert payload["entries"][0]["beta_coeffs"][1] == [20, 59]
     assert bin_bits(5, 3) == (1, 0, 1)
+
+
+def test_bias_matrix_p3_golden():
+    # tests/golden/oracle-p3.json is `flame-match oracle-bias --p 3 --output` verbatim
+    expected = (GOLDEN / "oracle-p3.json").read_text(encoding="utf-8")
+    assert bias_matrix_to_json(bias_matrix(3)) + "\n" == expected
+
+
+def test_oracle_flame_p2_golden():
+    # one line per allocation of product(BinState, repeat=4), allocation[b] = bin b:
+    # "None" when invalid, else the per-bin estimates joined by ";"
+    lines = []
+    for allocation in itertools.product(BinState, repeat=4):
+        estimates = oracle_flame(allocation, 2)
+        lines.append("None" if estimates is None else ";".join(format_symbolic(e) for e in estimates))
+    assert "\n".join(lines) == (GOLDEN / "oracle-p2-allocations.txt").read_text(encoding="utf-8")
