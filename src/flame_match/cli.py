@@ -107,9 +107,7 @@ def cmd_match(args):
 def cmd_oracle_bias(args):
     from .oracle import bias_matrix, bias_matrix_to_json, format_bias_table
 
-    if args.p == 4 and not args.force_heavy:
-        raise UsageError("p=4 enumerates ~4.3e9 allocations; pass --force-heavy to run it anyway")
-    bm = bias_matrix(args.p, allow_heavy=args.force_heavy)
+    bm = bias_matrix(args.p)
     print(format_bias_table(bm))
     if args.output:
         _atomic_write(args.output, bias_matrix_to_json(bm) + "\n")
@@ -171,9 +169,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_match)
 
     o = sub.add_parser("oracle-bias", help="exact bias matrix of the idealized drop-order matcher")
-    o.add_argument("--p", type=int, required=True, choices=[1, 2, 3, 4])
+    o.add_argument("--p", type=int, required=True, choices=[1, 2, 3])
     o.add_argument("--output")
-    o.add_argument("--force-heavy", action="store_true", help="allow the ~4.3e9-allocation p=4 run")
     o.set_defaults(func=cmd_oracle_bias)
 
     s = sub.add_parser("synth", help="generate a synthetic benchmark dataset")

@@ -57,12 +57,12 @@ class Dataset:
     encodings: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self):
-        covs = np.asarray(self.covariates, dtype=np.int64)
+        covs = _int64(self.covariates, "covariate codes")
         if covs.ndim != 2:
             covs = covs.reshape(len(self.treatment), -1)
         object.__setattr__(self, "covariates", covs)
         object.__setattr__(self, "arities", np.asarray(self.arities, dtype=np.int64))
-        object.__setattr__(self, "treatment", np.asarray(self.treatment, dtype=np.int64))
+        object.__setattr__(self, "treatment", _int64(self.treatment, "treatment values"))
         object.__setattr__(self, "outcome", np.asarray(self.outcome, dtype=np.float64))
         object.__setattr__(self, "unit_ids", np.asarray(self.unit_ids))
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
@@ -125,15 +125,26 @@ class Dataset:
         return self.encodings[covariate][int(self.covariates[unit, covariate])]
 
 
+def _int64(values, what: str) -> np.ndarray:
+    # a cast that changes any value (0.5 -> 0) would silently pass validation;
+    # int64 input comes back as the same array, so it skips the comparison
+    arr = np.asarray(values)
+    out = np.asarray(arr, dtype=np.int64)
+    if out is not arr and np.any(out != arr):
+        raise DataError(f"{what} must be integers")
+    return out
+
+
 def load_csv(path, schema: DatasetSchema, encodings: dict[str, list[str]] | None = None) -> Dataset:
     """Load a UTF-8 CSV with a header row into an encoded :class:`Dataset`.
 
     Covariate columns are categorically encoded in first-appearance order.
     Rows with a missing value in any used cell, or an outcome that is not a
-    finite number, are rejected with the row number rather than imputed. Pass
-    ``encodings`` (name -> category list, e.g. from a previously loaded
-    file's dataset) to reuse an encoding; an unseen category then raises
-    :class:`DataError`.
+    finite number, are rejected with the row number rather than imputed. A
+    header that names the treatment, the outcome or a used covariate more
+    than once raises :class:`SchemaError`. Pass ``encodings`` (name ->
+    category list, e.g. from a previously loaded file's dataset) to reuse an
+    encoding; an unseen category then raises :class:`DataError`.
     """
     with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
@@ -153,6 +164,9 @@ def load_csv(path, schema: DatasetSchema, encodings: dict[str, list[str]] | None
         cov_names = [h for h in header if h not in (schema.treatment_column, schema.outcome_column)]
     if not cov_names:
         raise SchemaError("no covariate columns remain after removing treatment/outcome")
+    for name in (schema.treatment_column, schema.outcome_column, *cov_names):
+        if header.count(name) > 1:
+            raise SchemaError(f"column {name!r} occurs more than once in the header of {path}")
 
     t_idx = col_index[schema.treatment_column]
     y_idx = col_index[schema.outcome_column]

@@ -37,11 +37,6 @@ class LinearSymbolic:
     alpha: tuple[Fraction, ...]
     beta: tuple[Fraction, ...]
 
-    @classmethod
-    def zero(cls, p: int) -> "LinearSymbolic":
-        z = (Fraction(0),) * (p + 1)
-        return cls(z, z)
-
     def __add__(self, other: "LinearSymbolic") -> "LinearSymbolic":
         return LinearSymbolic(
             tuple(a + b for a, b in zip(self.alpha, other.alpha)),
@@ -53,16 +48,6 @@ class LinearSymbolic:
             tuple(a - b for a, b in zip(self.alpha, other.alpha)),
             tuple(a - b for a, b in zip(self.beta, other.beta)),
         )
-
-    def __neg__(self) -> "LinearSymbolic":
-        return LinearSymbolic(tuple(-a for a in self.alpha), tuple(-b for b in self.beta))
-
-    def scale(self, factor) -> "LinearSymbolic":
-        f = Fraction(factor)
-        return LinearSymbolic(tuple(a * f for a in self.alpha), tuple(b * f for b in self.beta))
-
-    def is_zero(self) -> bool:
-        return all(a == 0 for a in self.alpha) and all(b == 0 for b in self.beta)
 
 
 def bin_bits(bin_index: int, p: int) -> tuple[int, ...]:
@@ -112,59 +97,40 @@ def _collapse(states, p: int):
 
     Returns (numerators, denominators) with numerators[b] an integer vector
     and denominators[b] > 0, or None when some bin never receives an
-    estimate. When a group with both arms forms, its estimate (mean treated
-    outcome minus mean control outcome) applies to every bin that agrees with
-    the group on the remaining coordinates and has no estimate yet -- the
-    member units' own bins, plus any empty bins the group's signature covers.
-    Matched units leave the pool (without replacement); a bin keeps the first
-    estimate it receives.
+    estimate. The groups of all levels form a binary tree over the bins:
+    a node holds the ascending bins that share their low bits, and its two
+    children split on the lowest free bit, so the leaves are single bins
+    (level 0) and the root holds every bin (level p). Each node passes up
+    the outcome vectors of its still-unmatched treated and control units and
+    its open bins (no estimate yet). A node holding both arms resolves: the
+    difference of its per-arm mean outcomes goes to every open bin under it
+    -- the member units' own bins, plus any empty bins it covers -- and it
+    passes up nothing (matched units leave the pool, without replacement).
     """
-    nbins = 1 << p
-    width = 2 * (p + 1)
-    num = [None] * nbins
-    den = [0] * nbins
+    num = [None] * (1 << p)
+    den = [0] * (1 << p)
 
-    units = []
-    for b in range(nbins):
-        s = states[b]
-        if s in (BinState.TREATED_ONLY, BinState.BOTH):
-            units.append((b, True))
-        if s in (BinState.CONTROL_ONLY, BinState.BOTH):
-            units.append((b, False))
+    def node(bins):
+        if len(bins) == 1:
+            b = bins[0]
+            s = states[b]
+            treated = [_outcome_vec(b, True, p)] if s in (BinState.TREATED_ONLY, BinState.BOTH) else []
+            control = [_outcome_vec(b, False, p)] if s in (BinState.CONTROL_ONLY, BinState.BOTH) else []
+            open_bins = [b]
+        else:
+            t0, c0, o0 = node(bins[0::2])
+            t1, c1, o1 = node(bins[1::2])
+            treated, control, open_bins = t0 + t1, c0 + c1, o0 + o1
+        if not (treated and control):
+            return treated, control, open_bins
+        n_t, n_c = len(treated), len(control)
+        vec = tuple(sum(t) * n_c - sum(c) * n_t for t, c in zip(zip(*treated), zip(*control)))
+        for b in open_bins:
+            num[b] = vec
+            den[b] = n_t * n_c
+        return [], [], []
 
-    for level in range(p + 1):
-        if not units:
-            break
-        mask = (1 << (p - level)) - 1
-        buckets: dict[int, list[tuple[int, bool]]] = {}
-        for b, t in units:
-            buckets.setdefault(b & mask, []).append((b, t))
-        units = []
-        for key, members in buckets.items():
-            tr = [b for b, t in members if t]
-            co = [b for b, t in members if not t]
-            if tr and co:
-                sum_t = [0] * width
-                for b in tr:
-                    v = _outcome_vec(b, True, p)
-                    for i in range(width):
-                        sum_t[i] += v[i]
-                sum_c = [0] * width
-                for b in co:
-                    v = _outcome_vec(b, False, p)
-                    for i in range(width):
-                        sum_c[i] += v[i]
-                n_t, n_c = len(tr), len(co)
-                vec = tuple(sum_t[i] * n_c - sum_c[i] * n_t for i in range(width))
-                d = n_t * n_c
-                for b in range(nbins):
-                    if num[b] is None and (b & mask) == key:
-                        num[b] = vec
-                        den[b] = d
-            else:
-                units.extend(members)
-
-    if any(v is None for v in num):
+    if node(range(1 << p))[2]:
         return None
     return num, den
 
@@ -197,25 +163,23 @@ class BiasMatrix:
     entries: tuple[LinearSymbolic, ...]
 
 
-def bias_matrix(p: int, allow_heavy: bool = False) -> BiasMatrix:
+def bias_matrix(p: int) -> BiasMatrix:
     """Average per-bin bias over all valid allocations, exact rationals.
 
     Scans the full 4^(2^p) allocation space and keeps the allocations whose
-    collapse leaves an estimate in every bin. p = 4 means ~4.3e9 collapses
-    and is refused unless ``allow_heavy`` is set.
+    collapse leaves an estimate in every bin. p = 4 would take ~4.3e9
+    collapses, so p is limited to 1, 2 or 3.
     """
-    if p not in (1, 2, 3, 4):
-        raise ValueError(f"p must be 1, 2, 3 or 4, got {p}")
-    if p == 4 and not allow_heavy:
-        raise ValueError("p=4 enumerates ~4.3e9 allocations; pass allow_heavy=True to run it anyway")
+    if p not in (1, 2, 3):
+        raise ValueError(f"p must be 1, 2 or 3, got {p}")
     nbins = 1 << p
     width = 2 * (p + 1)
     # common denominator for all group means: arm sizes never exceed 2^p
     scale = math.lcm(*range(1, nbins + 1)) ** 2
     acc = [[0] * width for _ in range(nbins)]
     valid = 0
-    for digits in product(tuple(BinState), repeat=nbins):
-        states = digits[::-1]  # bin 0 is the least significant digit
+    # the sums are exact, so the order in which allocations arrive is immaterial
+    for states in product(tuple(BinState), repeat=nbins):
         collapsed = _collapse(states, p)
         if collapsed is None:
             continue
@@ -227,8 +191,6 @@ def bias_matrix(p: int, allow_heavy: bool = False) -> BiasMatrix:
             row = acc[b]
             for i in range(width):
                 row[i] += vec[i] * f
-    if valid == 0:
-        raise ValueError(f"no valid allocations for p={p}")
     # bias = mean estimate over the valid allocations minus the true effect
     total = scale * valid
     entries = tuple(

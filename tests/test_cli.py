@@ -69,6 +69,24 @@ def test_match_missing_file_is_data_error(tmp_path, capsys):
     assert len(err.strip().splitlines()) == 1
 
 
+def test_match_repeated_header_name_is_data_error(tmp_path, capsys, write_csv):
+    rows = [[i % 2, (i // 2) % 2, i % 2, float(i)] for i in range(40)]
+    path = write_csv("dup.csv", ["a", "a", "T", "Y"], rows)
+    out_path = tmp_path / "run.json"
+    code, _, err = run_cli(
+        capsys,
+        "match",
+        "--input", path,
+        "--holdout-frac", "0.25",
+        "--treatment", "T",
+        "--outcome", "Y",
+        "--output", str(out_path),
+    )
+    assert code == EXIT_DATA
+    assert "'a'" in err and len(err.strip().splitlines()) == 1
+    assert not out_path.exists()
+
+
 def test_match_deterministic_reports(tmp_path, capsys, write_csv):
     rows = [[i % 2, (i // 2) % 2, i % 2 ^ (i % 3 == 0), float(i)] for i in range(40)]
     path = write_csv("d.csv", ["a", "b", "T", "Y"], rows)
@@ -118,16 +136,11 @@ def test_oracle_bias_p2(tmp_path, capsys):
     assert payload["valid_count"] == 59
 
 
-def test_oracle_bias_bad_p(capsys):
-    code, _, err = run_cli(capsys, "oracle-bias", "--p", "7")
+@pytest.mark.parametrize("p", ["4", "7"])
+def test_oracle_bias_bad_p(capsys, p):
+    code, _, err = run_cli(capsys, "oracle-bias", "--p", p)
     assert code == EXIT_USAGE
     assert len(err.strip().splitlines()) == 1
-
-
-def test_oracle_bias_p4_gated(capsys):
-    code, _, err = run_cli(capsys, "oracle-bias", "--p", "4")
-    assert code == EXIT_USAGE
-    assert "force-heavy" in err
 
 
 def test_synth_writes_files_and_is_deterministic(tmp_path, capsys):

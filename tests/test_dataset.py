@@ -86,22 +86,54 @@ def test_schema_validation():
         DatasetSchema("T", "Y", ("T",))
 
 
+TWO_UNITS = dict(
+    covariates=np.array([[0], [1]]),
+    arities=np.array([2]),
+    treatment=np.array([0, 1]),
+    outcome=np.array([0.0, 1.0]),
+    covariate_names=("a",),
+    unit_ids=np.array([0, 1]),
+)
+
+
 def test_dataset_invariants_enforced():
-    base = dict(
-        covariates=np.array([[0], [1]]),
-        arities=np.array([2]),
-        treatment=np.array([0, 1]),
-        outcome=np.array([0.0, 1.0]),
-        covariate_names=("a",),
-        unit_ids=np.array([0, 1]),
-    )
-    Dataset(**base)
+    Dataset(**TWO_UNITS)
     with pytest.raises(DataError):
-        Dataset(**{**base, "covariates": np.array([[0], [2]])})
+        Dataset(**{**TWO_UNITS, "covariates": np.array([[0], [2]])})
     with pytest.raises(DataError):
-        Dataset(**{**base, "treatment": np.array([0, 3])})
+        Dataset(**{**TWO_UNITS, "treatment": np.array([0, 3])})
     with pytest.raises(DataError):
-        Dataset(**{**base, "unit_ids": np.array([5, 5])})
+        Dataset(**{**TWO_UNITS, "unit_ids": np.array([5, 5])})
+
+
+def test_non_integral_codes_and_treatment_rejected():
+    with pytest.raises(DataError, match="treatment"):
+        Dataset(**{**TWO_UNITS, "treatment": np.array([0.5, 1.0])})
+    with pytest.raises(DataError, match="covariate"):
+        Dataset(**{**TWO_UNITS, "covariates": np.array([[0.7], [1.2]])})
+    # integral floats, narrower ints and bools still cast
+    d = Dataset(**{**TWO_UNITS, "covariates": np.array([[0.0], [1.0]]), "treatment": np.array([False, True])})
+    assert d.covariates.dtype == np.int64 and d.covariates[:, 0].tolist() == [0, 1]
+    assert d.treatment.dtype == np.int64 and d.treatment.tolist() == [0, 1]
+    d = Dataset(**{**TWO_UNITS, "covariates": np.array([[0], [1]], dtype=np.int8)})
+    assert d.covariates.dtype == np.int64
+
+
+@pytest.mark.parametrize(
+    "header, name",
+    [(["a", "a", "T", "Y"], "a"), (["a", "T", "Y", "T"], "T"), (["a", "Y", "T", " Y"], "Y")],
+    ids=["covariate", "treatment", "outcome"],
+)
+def test_repeated_header_name_rejected(write_csv, header, name):
+    path = write_csv("dup.csv", header, [[0, 1, 0, 1], [1, 0, 1, 0]])
+    with pytest.raises(SchemaError, match=f"{name!r} occurs more than once"):
+        load_csv(path, SCHEMA)
+
+
+def test_repeated_unused_header_name_allowed(write_csv):
+    path = write_csv("dup.csv", ["a", "b", "b", "T", "Y"], [[0, 1, 1, 0, 1.0], [1, 0, 0, 1, 2.0]])
+    d = load_csv(path, DatasetSchema("T", "Y", ("a",)))
+    assert d.covariate_names == ("a",)
 
 
 def test_no_covariates_rejected():
