@@ -20,6 +20,7 @@ import math
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
+from functools import cache
 from itertools import product
 
 
@@ -84,8 +85,10 @@ def _arm_flag(arm) -> bool:
     raise ValueError(f"arm must be treated/control, got {arm!r}")
 
 
+@cache
 def _outcome_vec(bin_index: int, treated: bool, p: int) -> tuple[int, ...]:
-    # integer coefficient vector over (a_0..a_p, b_0..b_p)
+    # integer coefficient vector over (a_0..a_p, b_0..b_p); cached because
+    # bias_matrix(3) asks for its 16 distinct vectors ~520k times
     bits = bin_bits(bin_index, p)
     alpha = (1, *bits)
     beta = (1, *bits) if treated else (0,) * (p + 1)
