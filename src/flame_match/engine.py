@@ -122,13 +122,14 @@ def variance_upper_bound(treated_outcomes, control_outcomes) -> float:
     return total
 
 
-def _arm_moments(y: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Mean and sample variance (0 for one member) of each run ``y[starts[i]:starts[i] + sizes[i]]``.
+def _arm_moments(y: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and sample variance (0 for one member) of each consecutive run of ``y``, of lengths ``sizes``.
 
     Runs of equal size k form one ``(runs, k)`` block, whose row sums take
     the same pairwise order as ``ndarray.mean`` and ``var(ddof=1)`` on each
     run alone, so every value is bit-identical to theirs.
     """
+    starts = np.cumsum(sizes) - sizes
     mean, var = np.empty(sizes.size), np.zeros(sizes.size)
     for k in np.unique(sizes).tolist():
         sel = np.flatnonzero(sizes == k)
@@ -143,13 +144,11 @@ def _arm_moments(y: np.ndarray, starts: np.ndarray, sizes: np.ndarray) -> tuple[
 
 def _level_record(d: Dataset, level: int, active, quality: LevelQuality, table: GroupTable) -> LevelRecord:
     """Per group: treated-minus-control mean outcome and :func:`variance_upper_bound`, in one pass."""
-    treated = d.treatment[table.rows]
-    # treated members first within each group, each arm in row order
-    order = np.argsort(2 * table.member_groups() + (1 - treated), kind="stable")
-    y = d.outcome[table.rows[order]]
-    starts = table.offsets[:-1]
-    mean_t, var_t = _arm_moments(y, starts, table.n_treated)
-    mean_c, var_c = _arm_moments(y, starts + table.n_treated, table.n_control)
+    # each group's rows are contiguous, so either arm's selection keeps its runs in group order
+    treated = d.treatment[table.rows] == 1
+    y = d.outcome[table.rows]
+    mean_t, var_t = _arm_moments(y[treated], table.n_treated)
+    mean_c, var_c = _arm_moments(y[~treated], table.n_control)
     return LevelRecord(level, tuple(active), quality, table, mean_t - mean_c, var_t + var_c)
 
 
@@ -174,8 +173,7 @@ def _commit(
     """
     table = basic_exact_match(d, pool, tuple(active), config.backend).table
     newly = unmatched[table.rows]
-    keep = np.zeros(len(table), dtype=bool)
-    keep[table.member_groups()[newly]] = True
+    keep = np.logical_or.reduceat(newly, table.offsets[:-1])
     avail_t = int(d.treatment[unmatched].sum())
     new_rows = table.rows[newly]
     new_t = int(d.treatment[new_rows].sum())

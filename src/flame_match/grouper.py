@@ -121,7 +121,7 @@ def _renumber(ids: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
         seen = np.zeros(bound, dtype=bool)
         seen[ids] = True
         rank = np.cumsum(seen) - 1
-        return rank[ids], int(rank[-1]) + 1
+        return rank[ids], int(rank[-1]) + 1 if bound else 0
     uniq, inverse = np.unique(ids, return_inverse=True)
     return inverse.astype(np.int64, copy=False), uniq.size
 
@@ -181,8 +181,6 @@ def drop_one_ranks(d: Dataset, considered, active) -> DropOneRanks:
     prefix = np.zeros((m + 1, n), dtype=np.min_scalar_type(n))
     suffix = np.zeros_like(prefix)
     prefix_counts, suffix_counts = [1] * (m + 1), [1] * (m + 1)
-    if n == 0:
-        return DropOneRanks(active, prefix, suffix, tuple(prefix_counts), tuple(suffix_counts))
     for k, a in enumerate(active):
         h = int(d.arities[a])
         ids = prefix[k].astype(np.int64) * h + d.covariates[considered, a]
@@ -242,10 +240,6 @@ class GroupTable:
     def sizes(self) -> np.ndarray:
         return self.n_treated + self.n_control
 
-    def member_groups(self) -> np.ndarray:
-        """The group index of each entry of ``rows``."""
-        return np.repeat(np.arange(len(self)), self.sizes)
-
     def subset(self, keep: np.ndarray) -> "GroupTable":
         """The groups where the boolean mask ``keep`` is set, in their order."""
         offsets = np.concatenate(([0], np.cumsum(self.sizes[keep])))
@@ -288,11 +282,6 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
     """
     considered = np.asarray(considered, dtype=np.int64)
     active = check_active(active, d.n_covariates)
-    if considered.size == 0:
-        none = np.zeros(0, dtype=np.int64)
-        table = GroupTable(active, np.zeros((0, len(active)), dtype=np.int64), np.zeros(1, dtype=np.int64), none, none, none)
-        return MatchResult(table)
-
     if backend == "tuple_key":
         buckets: dict[tuple, list[int]] = {}
         codes = d.covariates[considered][:, active].tolist()
