@@ -31,9 +31,11 @@ class DatasetSchema:
     def __post_init__(self):
         if self.treatment_column == self.outcome_column:
             raise SchemaError("treatment and outcome columns must differ")
-        for c in self.covariate_columns:
+        for k, c in enumerate(self.covariate_columns):
             if c in (self.treatment_column, self.outcome_column):
                 raise SchemaError(f"covariate column {c!r} clashes with treatment/outcome")
+            if c in self.covariate_columns[:k]:
+                raise SchemaError(f"covariate column {c!r} is listed more than once")
 
 
 @dataclass(frozen=True)
@@ -88,7 +90,9 @@ class Dataset:
             bad_t = (self.treatment != 0) & (self.treatment != 1)
             if np.any(bad_t):
                 raise DataError("treatment values must be 0 or 1")
-        if len(np.unique(self.unit_ids)) != n:
+        # sort and compare neighbours: a bare np.unique takes a much slower hash path
+        ids = np.sort(self.unit_ids)
+        if np.any(ids[1:] == ids[:-1]):
             raise DataError("unit_ids must be unique")
 
     @property
@@ -136,7 +140,7 @@ def _int64(values, what: str) -> np.ndarray:
 
 
 def load_csv(path, schema: DatasetSchema, encodings: dict[str, list[str]] | None = None) -> Dataset:
-    """Load a UTF-8 CSV with a header row into an encoded :class:`Dataset`.
+    """Load a UTF-8 CSV, with or without a byte-order mark, with a header row into an encoded :class:`Dataset`.
 
     Covariate columns are categorically encoded in first-appearance order.
     Rows with a missing value in any used cell, or an outcome that is not a
@@ -146,7 +150,7 @@ def load_csv(path, schema: DatasetSchema, encodings: dict[str, list[str]] | None
     category list, e.g. from a previously loaded file's dataset) to reuse an
     encoding; an unseen category then raises :class:`DataError`.
     """
-    with open(path, newline="", encoding="utf-8") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)

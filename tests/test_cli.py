@@ -87,6 +87,26 @@ def test_match_repeated_header_name_is_data_error(tmp_path, capsys, write_csv):
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("covariates", ["a,a", "a,,a"])
+def test_match_repeated_covariate_is_data_error(covariates, tmp_path, capsys, write_csv):
+    rows = [[i % 2, (i // 2) % 2, i % 2, float(i)] for i in range(40)]
+    path = write_csv("rep.csv", ["a", "b", "T", "Y"], rows)
+    out_path = tmp_path / "run.json"
+    code, _, err = run_cli(
+        capsys,
+        "match",
+        "--input", path,
+        "--holdout-frac", "0.25",
+        "--treatment", "T",
+        "--outcome", "Y",
+        "--covariates", covariates,
+        "--output", str(out_path),
+    )
+    assert code == EXIT_DATA
+    assert "'a' is listed more than once" in err and len(err.strip().splitlines()) == 1
+    assert not out_path.exists()
+
+
 def test_match_deterministic_reports(tmp_path, capsys, write_csv):
     rows = [[i % 2, (i // 2) % 2, i % 2 ^ (i % 3 == 0), float(i)] for i in range(40)]
     path = write_csv("d.csv", ["a", "b", "T", "Y"], rows)

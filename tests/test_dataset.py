@@ -84,6 +84,25 @@ def test_schema_validation():
         DatasetSchema("T", "T")
     with pytest.raises(SchemaError):
         DatasetSchema("T", "Y", ("T",))
+    with pytest.raises(SchemaError, match="'a' is listed more than once"):
+        DatasetSchema("T", "Y", ("a", "b", "a"))
+
+
+@pytest.mark.parametrize(
+    "text",
+    ["T,x1,Y\n0,u,1.5\n1,v,2.5\n1,u,0.5\n", "x1,T,Y\nu,0,1.5\nv,1,2.5\nu,1,0.5\n"],
+    ids=["treatment_first", "covariate_first"],
+)
+def test_byte_order_mark_skipped(tmp_path, text):
+    plain, bom = tmp_path / "plain.csv", tmp_path / "bom.csv"
+    plain.write_bytes(text.encode("utf-8"))
+    bom.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    want, got = load_csv(str(plain), SCHEMA), load_csv(str(bom), SCHEMA)
+    assert got.covariate_names == want.covariate_names == ("x1",)
+    assert got.encodings == want.encodings == (("u", "v"),)
+    assert np.array_equal(got.covariates, want.covariates)
+    assert np.array_equal(got.treatment, want.treatment)
+    assert np.array_equal(got.outcome, want.outcome)
 
 
 TWO_UNITS = dict(
@@ -104,6 +123,11 @@ def test_dataset_invariants_enforced():
         Dataset(**{**TWO_UNITS, "treatment": np.array([0, 3])})
     with pytest.raises(DataError):
         Dataset(**{**TWO_UNITS, "unit_ids": np.array([5, 5])})
+    three = {**TWO_UNITS, "covariates": np.array([[0], [1], [0]]), "treatment": np.array([0, 1, 1]), "outcome": np.zeros(3)}
+    Dataset(**{**three, "unit_ids": np.array(["b", "a", "c"])})
+    for ids in ([3, 1, 3], ["b", "a", "b"]):
+        with pytest.raises(DataError, match="unique"):
+            Dataset(**{**three, "unit_ids": np.array(ids)})
 
 
 def test_non_integral_codes_and_treatment_rejected():
