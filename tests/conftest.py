@@ -1,7 +1,21 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from flame_match.dataset import Dataset
+
+
+@pytest.fixture(scope="session", autouse=True)
+def src_on_child_path():
+    """Put src/ on ``PYTHONPATH`` for child interpreters (criterion 01 runs ``python -m flame_match.cli``).
+
+    pyproject's ``pythonpath`` setting reaches only the test process itself.
+    """
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("PYTHONPATH", str(Path(__file__).resolve().parents[1] / "src"), prepend=os.pathsep)
+        yield
 
 
 @pytest.fixture
