@@ -175,7 +175,7 @@ def drop_one_ranks(d: Dataset, considered, active) -> DropOneRanks:
     :func:`match_flags` with the same ``considered`` rows and ``active``
     minus one covariate.
     """
-    considered = np.asarray(considered)
+    considered = np.asarray(considered, dtype=np.int64)
     active = check_active(active, d.n_covariates)
     m, n = len(active), considered.size
     prefix = np.zeros((m + 1, n), dtype=np.min_scalar_type(n))
