@@ -65,12 +65,13 @@ def cmd_match(args):
         raise UsageError("exactly one of --holdout and --holdout-frac is required")
     covariates = tuple(c for c in (args.covariates or "").split(",") if c)
     schema = DatasetSchema(args.treatment, args.outcome, covariates)
-    full = load_csv(args.input, schema)
     if args.holdout is not None:
-        encodings = dict(zip(full.covariate_names, map(list, full.encodings)))
-        matching, holdout = full, load_csv(args.holdout, schema, encodings=encodings)
+        matching = load_csv(args.input, schema)
+        encodings = dict(zip(matching.covariate_names, map(list, matching.encodings)))
+        holdout = load_csv(args.holdout, schema, encodings=encodings)
     else:
-        matching, holdout = split_holdout(full, args.holdout_frac, args.seed)
+        # no name holds the unsplit dataset, so its arrays are freed before the run
+        matching, holdout = split_holdout(load_csv(args.input, schema), args.holdout_frac, args.seed)
     config = FlameConfig(
         c_param=args.c,
         epsilon=args.epsilon,

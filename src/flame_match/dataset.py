@@ -8,12 +8,15 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass, replace
+from functools import partial
+from itertools import islice
 
 import numpy as np
 
-from .errors import DataError, SchemaError
+from .errors import DataError, FlameError, SchemaError
 
 
 @dataclass(frozen=True)
@@ -139,6 +142,28 @@ def _int64(values, what: str) -> np.ndarray:
     return out
 
 
+_CHUNK_ROWS = 2048  # rows encoded per pass: enough to amortize the per-column calls, few enough to keep the strings small
+_TREATMENT = {"0": 0, "1": 1}
+
+
+@dataclass
+class _Columns:
+    """Where :func:`load_csv` finds its columns, and the category -> code map of each covariate."""
+
+    header: list[str]
+    names: tuple[str, ...]
+    t_idx: int
+    y_idx: int
+    cov_idx: tuple[int, ...]
+    code_maps: list[dict[str, int]]
+    frozen: bool
+    empty_arities: tuple[int, ...]  # of a file with no data rows: a frozen encoding's list lengths, else 0
+
+    @property
+    def used(self) -> tuple[int, ...]:
+        return (self.t_idx, self.y_idx, *self.cov_idx)
+
+
 def load_csv(path, schema: DatasetSchema, encodings: dict[str, list[str]] | None = None) -> Dataset:
     """Load a UTF-8 CSV, with or without a byte-order mark, with a header row into an encoded :class:`Dataset`.
 
@@ -149,16 +174,32 @@ def load_csv(path, schema: DatasetSchema, encodings: dict[str, list[str]] | None
     than once raises :class:`SchemaError`. Pass ``encodings`` (name ->
     category list, e.g. from a previously loaded file's dataset) to reuse an
     encoding; an unseen category then raises :class:`DataError`.
+
+    Rows are encoded column by column, a few thousand at a time, into arrays
+    sized once from a count of the file's line ends, so the cells of the whole
+    file are never held as strings at once.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
+    with open(path, "rb") as fh:
+        raw = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe is read whole so it can be read twice
+        # every data row ends the line before it, so the line ends bound the row count
+        bound = sum(b.count(b"\n") + b.count(b"\r") for b in iter(partial(raw.read, 1 << 20), b""))
+        raw.seek(0)
+        reader = csv.reader(io.TextIOWrapper(raw, encoding="utf-8-sig", newline=""))
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: file is empty (no header row)") from None
-        header = [h.strip() for h in header]
-        rows = list(reader)
+        try:
+            return _encode(reader, _columns(path, [h.strip() for h in header], schema, encodings), bound)
+        except FlameError:
+            # a CSV or decoding fault anywhere in the file takes precedence
+            # over a schema or row fault, however early that one is
+            for _ in reader:
+                pass
+            raise
 
+
+def _columns(path, header: list[str], schema: DatasetSchema, encodings: dict[str, list[str]] | None) -> _Columns:
     col_index = {name: i for i, name in enumerate(header)}
     for required in (schema.treatment_column, schema.outcome_column, *schema.covariate_columns):
         if required not in col_index:
@@ -172,10 +213,6 @@ def load_csv(path, schema: DatasetSchema, encodings: dict[str, list[str]] | None
         if header.count(name) > 1:
             raise SchemaError(f"column {name!r} occurs more than once in the header of {path}")
 
-    t_idx = col_index[schema.treatment_column]
-    y_idx = col_index[schema.outcome_column]
-    cov_idx = [col_index[c] for c in cov_names]
-
     frozen = encodings is not None
     code_maps: list[dict[str, int]] = []
     for name in cov_names:
@@ -185,50 +222,100 @@ def load_csv(path, schema: DatasetSchema, encodings: dict[str, list[str]] | None
             code_maps.append({raw: k for k, raw in enumerate(encodings[name])})
         else:
             code_maps.append({})
+    return _Columns(
+        header=header,
+        names=tuple(cov_names),
+        t_idx=col_index[schema.treatment_column],
+        y_idx=col_index[schema.outcome_column],
+        cov_idx=tuple(col_index[c] for c in cov_names),
+        code_maps=code_maps,
+        frozen=frozen,
+        empty_arities=tuple(len(encodings[c]) if frozen else 0 for c in cov_names),
+    )
 
-    n = len(rows)
-    codes = np.zeros((n, len(cov_names)), dtype=np.int64)
-    treatment = np.zeros(n, dtype=np.int64)
-    outcome = np.zeros(n, dtype=np.float64)
-    used = [t_idx, y_idx, *cov_idx]
 
-    for r, row in enumerate(rows, start=1):
-        for idx in used:
-            if idx >= len(row) or row[idx].strip() == "":
-                raise DataError(f"row {r}: missing value in column {header[idx] if idx < len(header) else idx!r}")
-        t_raw = row[t_idx].strip()
-        if t_raw not in ("0", "1"):
-            raise DataError(f"row {r}: treatment value {t_raw!r} is not 0/1")
-        treatment[r - 1] = int(t_raw)
-        try:
-            y = float(row[y_idx])
-        except ValueError:
-            y = math.nan
-        if not math.isfinite(y):
-            raise DataError(f"row {r}: outcome value {row[y_idx]!r} is not a finite number")
-        outcome[r - 1] = y
-        for k, idx in enumerate(cov_idx):
-            raw = row[idx].strip()
-            cmap = code_maps[k]
-            if raw not in cmap:
-                if frozen:
-                    raise DataError(f"row {r}: unseen category {raw!r} in column {cov_names[k]!r}")
-                cmap[raw] = len(cmap)
-            codes[r - 1, k] = cmap[raw]
+def _encode(reader, cols: _Columns, bound: int) -> Dataset:
+    # untouched tail pages of these buffers cost no memory; rows [:n] are returned as views
+    codes = np.empty((bound, len(cols.names)), dtype=np.int64)
+    treatment = np.empty(bound, dtype=np.int64)
+    outcome = np.empty(bound, dtype=np.float64)
+    n = 0
+    while chunk := list(islice(reader, _CHUNK_ROWS)):
+        if not _encode_chunk(chunk, cols, codes[n:], treatment[n:], outcome[n:]):
+            errors = (_row_error(r, row, cols) for r, row in enumerate(chunk, start=n + 1))
+            raise next(err for err in errors if err is not None)
+        n += len(chunk)
 
-    arities = np.array([len(m) for m in code_maps], dtype=np.int64)
-    if frozen and n == 0:
-        arities = np.array([len(encodings[c]) for c in cov_names], dtype=np.int64)
-    enc = tuple(tuple(sorted(m, key=m.get)) for m in code_maps)
+    arities = np.array(cols.empty_arities if n == 0 else [len(m) for m in cols.code_maps], dtype=np.int64)
+    enc = tuple(tuple(sorted(m, key=m.get)) for m in cols.code_maps)
     return Dataset(
-        covariates=codes,
+        covariates=codes[:n],
         arities=arities,
-        treatment=treatment,
-        outcome=outcome,
-        covariate_names=tuple(cov_names),
+        treatment=treatment[:n],
+        outcome=outcome[:n],
+        covariate_names=cols.names,
         unit_ids=np.arange(n, dtype=np.int64),
         encodings=enc,
     )
+
+
+def _encode_chunk(chunk: list[list[str]], cols: _Columns, codes, treatment, outcome) -> bool:
+    """Write ``chunk``'s rows to the heads of the arrays; False, with the arrays partly written, if any row is faulty."""
+    k = len(chunk)
+    if min(map(len, chunk)) <= max(cols.used):
+        return False
+    by_column = list(zip(*chunk))
+    if (t := _column_codes(by_column[cols.t_idx], _TREATMENT, grow=False)) is None:
+        return False
+    treatment[:k] = t
+    try:
+        outcome[:k] = np.fromiter(map(float, by_column[cols.y_idx]), np.float64, count=k)
+    except ValueError:
+        return False
+    if not np.isfinite(outcome[:k]).all():
+        return False
+    for j, (idx, cmap) in enumerate(zip(cols.cov_idx, cols.code_maps)):
+        if (c := _column_codes(by_column[idx], cmap, grow=not cols.frozen)) is None:
+            return False
+        codes[:k, j] = c
+    return True
+
+
+def _column_codes(col: tuple[str, ...], cmap: dict[str, int], grow: bool) -> np.ndarray | None:
+    """Codes of ``col``'s stripped cells under ``cmap``, which takes new categories in order of appearance when ``grow``.
+
+    None if a cell is blank, or unknown to ``cmap`` without ``grow``. Each
+    distinct raw cell is stripped and looked up once.
+    """
+    by_raw = {}
+    for raw in dict.fromkeys(col):
+        key = raw.strip()
+        if not key or not (grow or key in cmap):
+            return None
+        by_raw[raw] = cmap.setdefault(key, len(cmap))
+    return np.fromiter(map(by_raw.__getitem__, col), np.int64, count=len(col))
+
+
+def _row_error(r: int, row: list[str], cols: _Columns) -> DataError | None:
+    """The fault of data row ``r``, checked in the order missing value, treatment, outcome, unseen category."""
+    for idx in cols.used:
+        if idx >= len(row) or row[idx].strip() == "":
+            return DataError(f"row {r}: missing value in column {cols.header[idx]!r}")
+    t_raw = row[cols.t_idx].strip()
+    if t_raw not in _TREATMENT:
+        return DataError(f"row {r}: treatment value {t_raw!r} is not 0/1")
+    try:
+        y = float(row[cols.y_idx])
+    except ValueError:
+        y = math.nan
+    if not math.isfinite(y):
+        return DataError(f"row {r}: outcome value {row[cols.y_idx]!r} is not a finite number")
+    if cols.frozen:
+        for idx, name, cmap in zip(cols.cov_idx, cols.names, cols.code_maps):
+            raw = row[idx].strip()
+            if raw not in cmap:
+                return DataError(f"row {r}: unseen category {raw!r} in column {name!r}")
+    return None
 
 
 def permute_covariates(d: Dataset, permutation) -> Dataset:
