@@ -4,13 +4,13 @@ Two interchangeable backends of :func:`basic_exact_match` produce the
 identical columnar :class:`GroupTable`:
 
 * ``mixed_radix``: each unit's active codes fold, most significant first,
-  into one dense int64 group id numbered in lexicographic signature order
-  (:func:`_group_ids`); per-group arm counts from ``np.bincount`` then give
-  the group table in one pass; and
+  into one int64 group id ordered like the signatures (:func:`_pair_ids`);
+  per-group arm counts from ``np.bincount`` then give the group table in one
+  pass; and
 * ``tuple_key``: plain dict grouping on the full code tuples, kept as the
   slow independent reference.
 
-:func:`match_flags`, which scores trial drops, takes each drop's dense ids
+:func:`match_flags`, which scores trial drops, takes each drop's group ids
 from the prefix and suffix ranks of one :func:`drop_one_ranks` build per
 level, and flags rows through the same per-group arm counts.
 
@@ -126,83 +126,79 @@ def _renumber(ids: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
     return inverse.astype(np.int64, copy=False), uniq.size
 
 
-def _group_ids(d: Dataset, rows: np.ndarray, active: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """Dense int64 id per row of its signature on ``active``, plus the id count.
+def _pair_ids(hi: np.ndarray, n_hi: int, lo: np.ndarray, n_lo: int) -> tuple[np.ndarray, int]:
+    """Int64 ids of the pairs ``(hi, lo)`` in lexicographic order, plus an exclusive bound on them.
 
-    Codes fold most significant first (``id = id * h + code``), so ids follow
-    the lexicographic order of the signatures. Whenever the next digit could
-    overflow int64 the running ids are renumbered densely first; renumbering
-    keeps their order, so the ids stay exact.
+    ``hi < n_hi`` and ``lo < n_lo``. The ids are ``hi * n_lo + lo``, renumbered
+    (keeping their order) only when ``n_hi * n_lo`` exceeds the row count, so
+    every id stays below ``max(n, 1)``. They need not be dense.
     """
-    codes = d.covariates[rows][:, list(active)]
-    gid = np.zeros(rows.size, dtype=np.int64)
-    bound = 1
+    bound = n_hi * n_lo
+    ids = np.multiply(hi, n_lo, dtype=np.int64)
+    ids += lo
+    return _renumber(ids, bound) if bound > hi.size else (ids, bound)
+
+
+def _codes(d: Dataset, rows: np.ndarray, active: tuple[int, ...]) -> np.ndarray:
+    """Codes of ``rows`` on ``active`` as an ``(m, n)`` block, in the smallest unsigned dtype holding their arities."""
+    block = np.empty((len(active), rows.size), dtype=np.min_scalar_type(int(d.arities[list(active)].max())))
     for k, a in enumerate(active):
-        h = int(d.arities[a])
-        if bound * h > INT64_MAX:
-            gid, bound = _renumber(gid, bound)
-        gid *= h
-        gid += codes[:, k]
-        bound *= h
-    return _renumber(gid, bound)
+        block[k] = d.covariates[rows, a]
+    return block
 
 
 @dataclass(frozen=True)
 class DropOneRanks:
-    """Dense ranks of every prefix and every suffix of ``active`` over one row set.
+    """Group ids of every prefix and every suffix of ``active`` over one row set.
 
-    ``prefix[k]`` ranks each row's codes on ``active[:k]`` and ``suffix[k]``
-    on ``active[k:]``, both in signature order; ``prefix_counts[k]`` and
-    ``suffix_counts[k]`` are their distinct counts. Dropping ``active[j]``
-    leaves the signature ``(prefix[j], suffix[j + 1])``. Each sweep is one
-    contiguous ``(m + 1, n)`` block in the smallest unsigned dtype that holds
-    ``n``: per-column arrays of this size fragment the heap between the run's
-    long-lived objects and raise its peak RSS.
+    ``prefix[k]`` numbers each row's codes on ``active[:k]`` and ``suffix[k]``
+    on ``active[k:]``, both ordered like the codes; ``prefix_bounds[k]`` and
+    ``suffix_bounds[k]`` bound them, at most ``max(n, 1)``. Dropping
+    ``active[j]`` leaves the signature ``(prefix[j], suffix[j + 1])``. Each
+    sweep is one contiguous ``(m + 1, n)`` block in the smallest unsigned
+    dtype that holds ``n``: per-column arrays of this size fragment the heap
+    between the run's long-lived objects and raise its peak RSS.
     """
 
     active: tuple[int, ...]
     prefix: np.ndarray
     suffix: np.ndarray
-    prefix_counts: tuple[int, ...]
-    suffix_counts: tuple[int, ...]
+    prefix_bounds: tuple[int, ...]
+    suffix_bounds: tuple[int, ...]
 
 
 def drop_one_ranks(d: Dataset, considered, active) -> DropOneRanks:
     """Prefix and suffix ranks of ``active`` over ``considered``, for scoring every single-covariate drop.
 
-    Built column by column with the same order-preserving tally as
-    :func:`_group_ids`, in O(n) per covariate and sweep. Pass the result to
-    :func:`match_flags` with the same ``considered`` rows and ``active``
-    minus one covariate.
+    Built column by column with :func:`_pair_ids` from one :func:`_codes`
+    gather, in O(n) per covariate and sweep unless a step renumbers wide
+    ids. Pass the result to :func:`match_flags` with the same
+    ``considered`` rows and ``active`` minus one covariate.
     """
     considered = np.asarray(considered, dtype=np.int64)
     active = check_active(active, d.n_covariates)
-    m, n = len(active), considered.size
+    codes = _codes(d, considered, active)
+    m, n = codes.shape
     prefix = np.zeros((m + 1, n), dtype=np.min_scalar_type(n))
     suffix = np.zeros_like(prefix)
-    prefix_counts, suffix_counts = [1] * (m + 1), [1] * (m + 1)
+    prefix_bounds, suffix_bounds = [1] * (m + 1), [1] * (m + 1)
     for k, a in enumerate(active):
-        h = int(d.arities[a])
-        ids = prefix[k].astype(np.int64) * h + d.covariates[considered, a]
-        prefix[k + 1], prefix_counts[k + 1] = _renumber(ids, prefix_counts[k] * h)
+        prefix[k + 1], prefix_bounds[k + 1] = _pair_ids(prefix[k], prefix_bounds[k], codes[k], int(d.arities[a]))
     for k in range(m - 1, -1, -1):
-        h = suffix_counts[k + 1]
-        ids = d.covariates[considered, active[k]] * h + suffix[k + 1]
-        suffix[k], suffix_counts[k] = _renumber(ids, int(d.arities[active[k]]) * h)
-    return DropOneRanks(active, prefix, suffix, tuple(prefix_counts), tuple(suffix_counts))
+        h = int(d.arities[active[k]])
+        suffix[k], suffix_bounds[k] = _pair_ids(codes[k], h, suffix[k + 1], suffix_bounds[k + 1])
+    return DropOneRanks(active, prefix, suffix, tuple(prefix_bounds), tuple(suffix_bounds))
 
 
 def _drop_one_ids(ranks: DropOneRanks, n_rows: int, active: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """Dense group ids of the rows ``ranks`` was built on, on ``active`` = ``ranks.active`` minus one."""
+    """Group ids and their bound for the rows ``ranks`` was built on, on ``active`` = ``ranks.active`` minus one."""
     full = ranks.active
     if n_rows != ranks.prefix.shape[1]:
         raise ValueError(f"ranks were built on {ranks.prefix.shape[1]} rows, not {n_rows}")
     j = next((k for k, (a, b) in enumerate(zip(active, full)) if a != b), len(active))
     if len(active) + 1 != len(full) or active != full[:j] + full[j + 1 :]:
         raise ValueError(f"active {active} is not {full} minus one covariate")
-    s = ranks.suffix_counts[j + 1]
-    ids = ranks.prefix[j].astype(np.int64) * s + ranks.suffix[j + 1]
-    return _renumber(ids, ranks.prefix_counts[j] * s)
+    return _pair_ids(ranks.prefix[j], ranks.prefix_bounds[j], ranks.suffix[j + 1], ranks.suffix_bounds[j + 1])
 
 
 def _arm_counts(gid: np.ndarray, n_groups: int, treated_rows: np.ndarray):
@@ -293,7 +289,10 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
         sizes = np.array([len(rows) for _, rows in groups], dtype=np.int64)
         treated = np.array([d.treatment[rows].sum() for _, rows in groups], dtype=np.int64)
     elif backend == "mixed_radix":
-        gid, n_groups = _group_ids(d, considered, active)
+        codes = _codes(d, considered, active)
+        gid, n_groups = np.zeros(considered.size, dtype=np.int64), 1
+        for k, a in enumerate(active):
+            gid, n_groups = _pair_ids(gid, n_groups, codes[k], int(d.arities[a]))
         sizes, treated = _arm_counts(gid, n_groups, d.treatment[considered] == 1)
         valid = (treated > 0) & (treated < sizes)
         flags = valid[gid]

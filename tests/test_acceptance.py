@@ -10,6 +10,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -51,7 +52,7 @@ def test_criterion_01_two_covariate_matrix_exact(tmp_path):
     )
     elapsed = time.perf_counter() - t0
     ok = proc.returncode == 0 and "valid allocations: 59" in proc.stdout
-    payload = json.loads(open(out_path).read()) if ok else {}
+    payload = json.loads(Path(out_path).read_text()) if ok else {}
     expected_beta = {
         (0, 0): [[0, 1], [20, 59], [41, 118]],
         (1, 0): [[0, 1], [-20, 59], [41, 118]],

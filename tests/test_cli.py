@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -34,7 +35,7 @@ def test_match_table1(table1_csv, tmp_path, capsys):
         "--output", out_path,
     )
     assert code == EXIT_OK, err
-    report = json.loads(open(out_path).read())
+    report = json.loads(Path(out_path).read_text())
     lvl1 = report["levels"][0]
     assert len(lvl1["groups"]) == 1
     assert sorted(lvl1["groups"][0]["unit_ids"]) == [1, 3]
@@ -123,7 +124,7 @@ def test_match_deterministic_reports(tmp_path, capsys, write_csv):
             "--output", out_path,
         )
         assert code == EXIT_OK
-    assert open(out1, "rb").read() == open(out2, "rb").read()
+    assert Path(out1).read_bytes() == Path(out2).read_bytes()
 
 
 def test_match_csv_format(table1_csv, tmp_path, capsys):
@@ -139,10 +140,10 @@ def test_match_csv_format(table1_csv, tmp_path, capsys):
         "--format", "csv",
     )
     assert code == EXIT_OK
-    units = open(f"{base}.units.csv").read().strip().splitlines()
+    units = Path(f"{base}.units.csv").read_text().strip().splitlines()
     assert units[0] == "unit_id,level,signature,cate"
     assert len(units) == 3
-    levels = open(f"{base}.levels.csv").read().strip().splitlines()
+    levels = Path(f"{base}.levels.csv").read_text().strip().splitlines()
     assert levels[0].startswith("level,n_active,pe,bf,mq")
 
 
@@ -151,7 +152,7 @@ def test_oracle_bias_p2(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "oracle-bias", "--p", "2", "--output", out_path)
     assert code == EXIT_OK
     assert "valid allocations: 59" in out
-    payload = json.loads(open(out_path).read())
+    payload = json.loads(Path(out_path).read_text())
     jsonschema.validate(payload, _schema("biasmatrix.schema.json"))
     assert payload["valid_count"] == 59
 
@@ -177,8 +178,8 @@ def test_synth_writes_files_and_is_deterministic(tmp_path, capsys):
         )
         assert code == EXIT_OK
         assert "wrote" in out
-    assert open(f"{prefix1}.csv").read() == open(f"{prefix2}.csv").read()
-    assert open(f"{prefix1}.coeffs.json").read() == open(f"{prefix2}.coeffs.json").read()
+    assert Path(f"{prefix1}.csv").read_text() == Path(f"{prefix2}.csv").read_text()
+    assert Path(f"{prefix1}.coeffs.json").read_text() == Path(f"{prefix2}.coeffs.json").read_text()
 
 
 def test_synth_unknown_model(tmp_path, capsys):

@@ -125,6 +125,39 @@ def test_empty_matching_dataset():
     assert run.levels == () and run.dropped_order == ()
 
 
+def test_empty_matching_dataset_reports():
+    holdout = _holdout()
+    empty = Dataset(
+        covariates=np.zeros((0, 2), dtype=np.int64),
+        arities=np.array([2, 2]),
+        treatment=np.zeros(0, dtype=np.int64),
+        outcome=np.zeros(0),
+        covariate_names=holdout.covariate_names,
+        unit_ids=np.zeros(0, dtype=np.int64),
+    )
+    run = run_flame(empty, holdout)
+    payload = json.loads(matchrun_to_json(run))
+    assert payload["stop_reason"] == "no_unmatched_data" and payload["levels"] == [] and payload["ate"] is None
+    assert payload["n_units"] == payload["n_matched"] == 0 and payload["unmatched_unit_ids"] == []
+    assert matchrun_units_csv(run) == "unit_id,level,signature,cate\n"
+    assert matchrun_levels_csv(run) == "level,n_active,pe,bf,mq,n_groups,n_matched\n"
+
+
+@pytest.mark.parametrize(
+    "options, message",
+    [
+        ({"c_param": -0.1}, "c_param"),
+        ({"epsilon": -1e-9}, "epsilon"),
+        ({"backend": "bitvector"}, "backend"),
+        ({"pe_blowup_mode": "percent"}, "pe_blowup_mode"),
+        ({"max_levels": 0}, "max_levels"),
+    ],
+)
+def test_flame_config_rejects_bad_options(options, message):
+    with pytest.raises(ValueError, match=message):
+        FlameConfig(**options)
+
+
 def test_single_arm_matching_stops():
     holdout = _holdout()
     matching = _dataset([[0, 1], [1, 0], [0, 0]], [1, 1, 1], [1.0, 2.0, 3.0])

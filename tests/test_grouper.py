@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from conftest import group_tuples, random_dataset
 from flame_match.dataset import Dataset, sort_covariates_by_arity
 from flame_match.grouper import (
-    _group_ids,
+    _codes,
+    _drop_one_ids,
     basic_exact_match,
     count_and_flag,
     drop_one_ranks,
@@ -179,7 +180,7 @@ def test_big_key_fallback_matches_tuple_backend():
 
 @pytest.mark.parametrize("p, arity", [(70, 2), (12, 50)])
 def test_renumbering_matches_tuple_backend(p, arity):
-    # arity**p exceeds int64, so group ids are renumbered while folding
+    # arity**p far exceeds int64, so the fold renumbers its ids to keep them below n
     rng = np.random.default_rng(p)
     base = rng.integers(0, arity, size=(15, p))
     covs = np.vstack([base[rng.integers(0, 15, size=50)], rng.integers(0, arity, size=(10, p))])
@@ -193,12 +194,6 @@ def test_renumbering_matches_tuple_backend(p, arity):
         unit_ids=np.arange(n),
     )
     considered, active = np.arange(n), tuple(range(p))
-    gid, n_groups = _group_ids(d, considered, active)
-    sigs = [tuple(r) for r in covs.tolist()]
-    assert gid.dtype == np.int64 and n_groups == len(set(sigs)) == gid.max() + 1
-    for u in range(n):
-        for v in range(n):
-            assert (gid[u] < gid[v]) == (sigs[u] < sigs[v])
     res_a = basic_exact_match(d, considered, active, backend="mixed_radix")
     res_b = basic_exact_match(d, considered, active, backend="tuple_key")
     assert len(res_a.table) > 0 and _tables_equal(res_a.table, res_b.table)
@@ -226,15 +221,74 @@ def test_drop_one_ranks_match_every_drop(seed):
     considered = np.flatnonzero(rng.random(d.n_units) < rng.uniform(0.3, 1.0))
     if considered.size:
         ranks = _check_every_drop(d, considered, active)
-        # ranks are dense and ordered like the signatures they stand for
+        # ranks are ordered exactly like the signatures they stand for, below a bound of at most max(n, 1)
         sigs = [tuple(r) for r in d.covariates[considered][:, list(active)].tolist()]
         for k in range(len(active) + 1):
-            sweeps = ((ranks.prefix, ranks.prefix_counts, slice(0, k)), (ranks.suffix, ranks.suffix_counts, slice(k, None)))
-            for block, counts, part in sweeps:
-                keys = [s[part] for s in sigs]
-                assert counts[k] == len(set(keys)) == int(block[k].max()) + 1
-                order = sorted(set(keys))
-                assert block[k].tolist() == [order.index(key) for key in keys]
+            sweeps = ((ranks.prefix, ranks.prefix_bounds, slice(0, k)), (ranks.suffix, ranks.suffix_bounds, slice(k, None)))
+            for block, bounds, part in sweeps:
+                keys, ids = [s[part] for s in sigs], block[k].tolist()
+                assert int(block[k].max()) < bounds[k] <= max(considered.size, 1)
+                for u in range(len(keys)):
+                    for v in range(len(keys)):
+                        assert (ids[u] == ids[v]) == (keys[u] == keys[v]) and (ids[u] < ids[v]) == (keys[u] < keys[v])
+
+
+@given(st.integers(0, 2**32 - 1))
+@settings(max_examples=60, deadline=None)
+def test_drop_one_ids_partition_like_the_commit(seed):
+    # a drop's ids from the level's ranks group the pool exactly as a fresh commit on the smaller active set
+    rng = np.random.default_rng(seed)
+    d = random_dataset(rng, p=int(rng.integers(2, 7)), max_arity=int(rng.integers(2, 12)))
+    p = d.n_covariates
+    active = tuple(sorted(rng.choice(p, size=int(rng.integers(2, p + 1)), replace=False).tolist()))
+    considered = np.flatnonzero(rng.random(d.n_units) < rng.uniform(0.3, 1.0))
+    ranks = drop_one_ranks(d, considered, active)
+    for j in active:
+        cand = tuple(a for a in active if a != j)
+        gid, bound = _drop_one_ids(ranks, considered.size, cand)
+        assert gid.dtype == np.int64 and bound <= max(considered.size, 1) and np.all(gid < bound)
+        sigs = d.covariates[considered][:, list(cand)]
+        groups = [np.flatnonzero(gid == g) for g in np.unique(gid)]  # in id order
+        assert len(groups) == len({tuple(r) for r in sigs.tolist()})
+        assert all(len({tuple(r) for r in sigs[g].tolist()}) == 1 for g in groups)
+        valid = [considered[g].tolist() for g in groups if 0 < d.treatment[considered[g]].sum() < g.size]
+        table = basic_exact_match(d, considered, cand, backend="tuple_key").table
+        bounds = table.offsets.tolist()
+        assert valid == [table.rows[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
+
+
+@pytest.mark.parametrize("arity", [255, 256, 257, 65535, 65536, 65537])
+def test_compact_code_block_arity_boundaries(arity):
+    # every declared arity exceeds the codes seen, so the code block's dtype follows the arities alone
+    rng = np.random.default_rng(arity)
+    n = 90
+    covs = np.stack(
+        [
+            rng.integers(0, 2, size=n),
+            rng.choice([0, 1, arity // 2, arity - 2], size=n),
+            rng.integers(0, 3, size=n),
+            rng.choice([0, arity - 3], size=n),
+        ],
+        axis=1,
+    )
+    d = Dataset(
+        covariates=covs,
+        arities=np.array([2, arity, 4, arity]),
+        treatment=rng.integers(0, 2, size=n),
+        outcome=np.zeros(n),
+        covariate_names=("a", "b", "c", "d"),
+        unit_ids=np.arange(n),
+    )
+    considered = np.flatnonzero(rng.random(n) < 0.9)
+    assert _codes(d, considered, (0, 1, 2, 3)).dtype == np.min_scalar_type(arity)
+    assert _codes(d, considered, (0, 2)).dtype == np.uint8
+    for active in ((0, 1, 2, 3), (1, 3), (1,), (0, 2)):
+        res_a = basic_exact_match(d, considered, active, backend="mixed_radix")
+        res_b = basic_exact_match(d, considered, active, backend="tuple_key")
+        assert _tables_equal(res_a.table, res_b.table)
+        if len(active) >= 2:
+            _check_every_drop(d, considered, active)
+    assert len(basic_exact_match(d, considered, (1, 3)).table) > 0
 
 
 def test_drop_one_ranks_wide_keys_take_the_sorting_renumber():
@@ -255,7 +309,7 @@ def test_drop_one_ranks_wide_keys_take_the_sorting_renumber():
         unit_ids=np.arange(n),
     )
     ranks = _check_every_drop(d, np.arange(n), tuple(range(p)))
-    wide = [j for j in range(p) if ranks.prefix_counts[j] * ranks.suffix_counts[j + 1] > max(8 * n, 1 << 16)]
+    wide = [j for j in range(p) if ranks.prefix_bounds[j] * ranks.suffix_bounds[j + 1] > max(8 * n, 1 << 16)]
     assert wide
     assert any(match_flags(d, np.arange(n), tuple(a for a in range(p) if a != j), ranks=ranks).any() for j in wide)
 

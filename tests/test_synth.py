@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -107,7 +108,7 @@ def test_write_outputs_round_trip(tmp_path):
     assert loaded.n_units == 40
     assert np.array_equal(loaded.treatment, result.dataset.treatment)
     assert np.allclose(loaded.outcome, result.dataset.outcome)
-    meta = json.loads(open(sidecar).read())
+    meta = json.loads(Path(sidecar).read_text())
     assert meta["model"] == "decay_exp"
     assert meta["noise_std"] == 0.1
     assert len(meta["true_cates"]) == 40
