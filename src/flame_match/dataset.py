@@ -45,7 +45,7 @@ class DatasetSchema:
 class Dataset:
     """Encoded categorical table with treatment and outcome.
 
-    covariates: (n, p) integer codes, column k in ``[0, arities[k])``
+    covariates: (n, p) codes, column k in ``[0, arities[k])``; column-major, in the narrowest dtype holding every arity
     arities:    (p,) number of categories per covariate (>= 2 for nonempty data)
     treatment:  (n,) values in {0, 1}
     outcome:    (n,) float
@@ -62,16 +62,20 @@ class Dataset:
     encodings: tuple[tuple[str, ...], ...] | None = None
 
     def __post_init__(self):
-        covs = _int64(self.covariates, "covariate codes")
+        covs = np.asarray(self.covariates)
         if covs.ndim != 2:
-            covs = covs.reshape(len(self.treatment), -1)
-        object.__setattr__(self, "covariates", covs)
+            raise DataError("covariates must be a 2-D (n, p) array")
+        # integer codes (a row subset of a stored dataset, say) are range-checked as they are, without an int64 copy
+        object.__setattr__(self, "covariates", covs if covs.dtype.kind in "iu" else _int64(covs, "covariate codes"))
         object.__setattr__(self, "arities", np.asarray(self.arities, dtype=np.int64))
         object.__setattr__(self, "treatment", _int64(self.treatment, "treatment values"))
         object.__setattr__(self, "outcome", np.asarray(self.outcome, dtype=np.float64))
         object.__setattr__(self, "unit_ids", np.asarray(self.unit_ids))
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
         self._validate()
+        # the one decision on how codes are stored: column-major, in the narrowest dtype holding every
+        # arity, taken once the incoming values are validated so that no bad code can wrap into range
+        object.__setattr__(self, "covariates", np.asarray(self.covariates, np.min_scalar_type(int(self.arities.max())), order="F"))
 
     def _validate(self):
         n, p = self.covariates.shape
@@ -235,8 +239,9 @@ def _columns(path, header: list[str], schema: DatasetSchema, encodings: dict[str
 
 
 def _encode(reader, cols: _Columns, bound: int) -> Dataset:
-    # untouched tail pages of these buffers cost no memory; rows [:n] are returned as views
-    codes = np.empty((bound, len(cols.names)), dtype=np.int64)
+    # untouched tail pages of these buffers cost no memory; the codes are column-major, so each
+    # chunk writes contiguous runs, and the Dataset narrows their rows [:n] into its own store
+    codes = np.empty((bound, len(cols.names)), dtype=np.int64, order="F")
     treatment = np.empty(bound, dtype=np.int64)
     outcome = np.empty(bound, dtype=np.float64)
     n = 0

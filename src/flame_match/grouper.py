@@ -139,14 +139,6 @@ def _pair_ids(hi: np.ndarray, n_hi: int, lo: np.ndarray, n_lo: int) -> tuple[np.
     return _renumber(ids, bound) if bound > hi.size else (ids, bound)
 
 
-def _codes(d: Dataset, rows: np.ndarray, active: tuple[int, ...]) -> np.ndarray:
-    """Codes of ``rows`` on ``active`` as an ``(m, n)`` block, in the smallest unsigned dtype holding their arities."""
-    block = np.empty((len(active), rows.size), dtype=np.min_scalar_type(int(d.arities[list(active)].max())))
-    for k, a in enumerate(active):
-        block[k] = d.covariates[rows, a]
-    return block
-
-
 @dataclass(frozen=True)
 class DropOneRanks:
     """Group ids of every prefix and every suffix of ``active`` over one row set.
@@ -170,14 +162,14 @@ class DropOneRanks:
 def drop_one_ranks(d: Dataset, considered, active) -> DropOneRanks:
     """Prefix and suffix ranks of ``active`` over ``considered``, for scoring every single-covariate drop.
 
-    Built column by column with :func:`_pair_ids` from one :func:`_codes`
-    gather, in O(n) per covariate and sweep unless a step renumbers wide
-    ids. Pass the result to :func:`match_flags` with the same
+    Built column by column with :func:`_pair_ids` from one ``(m, n)`` gather
+    of the stored codes, in O(n) per covariate and sweep unless a step
+    renumbers wide ids. Pass the result to :func:`match_flags` with the same
     ``considered`` rows and ``active`` minus one covariate.
     """
     considered = np.asarray(considered, dtype=np.int64)
     active = check_active(active, d.n_covariates)
-    codes = _codes(d, considered, active)
+    codes = np.take(d.covariates.T[list(active)], considered, axis=1)
     m, n = codes.shape
     prefix = np.zeros((m + 1, n), dtype=np.min_scalar_type(n))
     suffix = np.zeros_like(prefix)
@@ -212,9 +204,9 @@ def _arm_counts(gid: np.ndarray, n_groups: int, treated_rows: np.ndarray):
 class GroupTable:
     """Valid matched groups as columns, sorted lexicographically by signature.
 
-    The ``i``-th group has the codes ``signatures[i]`` on ``active`` and the
-    member rows ``rows[offsets[i]:offsets[i + 1]]``, in considered order, of
-    which ``n_treated[i]`` are treated and ``n_control[i]`` control.
+    The ``i``-th group has the int64 codes ``signatures[i]`` on ``active`` and
+    the member rows ``rows[offsets[i]:offsets[i + 1]]``, in considered order,
+    of which ``n_treated[i]`` are treated and ``n_control[i]`` control.
     """
 
     active: tuple[int, ...]
@@ -289,7 +281,7 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
         sizes = np.array([len(rows) for _, rows in groups], dtype=np.int64)
         treated = np.array([d.treatment[rows].sum() for _, rows in groups], dtype=np.int64)
     elif backend == "mixed_radix":
-        codes = _codes(d, considered, active)
+        codes = np.take(d.covariates.T[list(active)], considered, axis=1)
         gid, n_groups = np.zeros(considered.size, dtype=np.int64), 1
         for k, a in enumerate(active):
             gid, n_groups = _pair_ids(gid, n_groups, codes[k], int(d.arities[a]))
@@ -302,7 +294,7 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
         members = hit[np.argsort(gid[flags], kind="stable")]
         ids = np.flatnonzero(valid)
         sizes, treated = sizes[ids], treated[ids]
-        signatures = d.covariates[np.ix_(members[np.cumsum(sizes) - sizes], active)]
+        signatures = d.covariates[np.ix_(members[np.cumsum(sizes) - sizes], active)].astype(np.int64)
     else:
         raise ValueError(f"unknown backend {backend!r}")
 

@@ -49,18 +49,18 @@ class LevelQuality:
 
 
 def _arm_fits(holdout: Dataset, active):
-    """Per arm, control then treated: its float64 codes on ``active``, its outcomes and its :func:`_fit`."""
+    """Per arm, control then treated: its C-ordered float64 codes on ``active``, its outcomes and its :func:`_fit`."""
     # unlike grouping, an empty active set is meaningful here: the model
     # degenerates to a per-arm intercept
     active = check_active(active, holdout.n_covariates) if len(tuple(active)) else ()
     arms = [np.flatnonzero(holdout.treatment == t) for t in (0, 1)]
     if any(rows.size == 0 for rows in arms):
         raise DegenerateHoldoutError("holdout must contain at least one treated and one control unit")
-    # gathering the columns before the rows keeps each block C-ordered, which
-    # fixes the summation order of the fit and so every bit of the residuals
+    # the float block is C-ordered whatever the store's layout: that fixes the
+    # summation order of the fit and so every bit of the residuals
     codes = holdout.covariates[:, list(active)]
     for rows in arms:
-        X, y = codes[rows].astype(np.float64), holdout.outcome[rows]
+        X, y = np.ascontiguousarray(codes[rows], dtype=np.float64), holdout.outcome[rows]
         yield X, y, _fit(X, y)
 
 

@@ -262,6 +262,24 @@ def test_match_numerical_failure_is_runtime_error(table1_csv, tmp_path, monkeypa
     assert len(err.strip().splitlines()) == 1
 
 
+def test_match_defaults_are_the_config_defaults(table1_csv, tmp_path, monkeypatch, capsys):
+    # the parser spells out --c and --epsilon a second time; a run given no option must get FlameConfig()
+    configs = []
+    run_flame = engine_mod.run_flame
+    monkeypatch.setattr(engine_mod, "run_flame", lambda m, h, config: configs.append(config) or run_flame(m, h, config))
+    code, _, err = run_cli(
+        capsys,
+        "match",
+        "--input", table1_csv,
+        "--holdout", table1_csv,
+        "--treatment", "T",
+        "--outcome", "Y",
+        "--output", str(tmp_path / "run.json"),
+    )
+    assert code == EXIT_OK, err
+    assert configs == [engine_mod.FlameConfig()]
+
+
 def test_match_too_few_units_to_split_is_data_error(tmp_path, capsys, write_csv):
     path = write_csv("header-only.csv", ["a", "T", "Y"], [])
     code, _, err = run_cli(

@@ -137,10 +137,20 @@ def test_non_integral_codes_and_treatment_rejected():
         Dataset(**{**TWO_UNITS, "covariates": np.array([[0.7], [1.2]])})
     # integral floats, narrower ints and bools still cast
     d = Dataset(**{**TWO_UNITS, "covariates": np.array([[0.0], [1.0]]), "treatment": np.array([False, True])})
-    assert d.covariates.dtype == np.int64 and d.covariates[:, 0].tolist() == [0, 1]
+    # codes are stored column-major in the narrowest dtype holding the arities; treatment stays int64
+    assert d.covariates.dtype == np.uint8 and d.covariates.flags.f_contiguous and d.covariates[:, 0].tolist() == [0, 1]
     assert d.treatment.dtype == np.int64 and d.treatment.tolist() == [0, 1]
     d = Dataset(**{**TWO_UNITS, "covariates": np.array([[0], [1]], dtype=np.int8)})
-    assert d.covariates.dtype == np.int64
+    assert d.covariates.dtype == np.uint8 and d.covariates.flags.f_contiguous
+    # narrow signed codes are range-checked before they are stored unsigned
+    with pytest.raises(DataError, match="out of range"):
+        Dataset(**{**TWO_UNITS, "covariates": np.array([[-1], [1]], dtype=np.int8)})
+
+
+@pytest.mark.parametrize("shape", [(2,), (2, 1, 1)], ids=["1-D", "3-D"])
+def test_covariates_must_be_two_dimensional(shape):
+    with pytest.raises(DataError, match="2-D"):
+        Dataset(**{**TWO_UNITS, "covariates": np.zeros(shape, dtype=np.int64)})
 
 
 @pytest.mark.parametrize(

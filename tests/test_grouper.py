@@ -6,9 +6,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import group_tuples, random_dataset
-from flame_match.dataset import Dataset, sort_covariates_by_arity
+from flame_match.dataset import Dataset, permute_covariates, sort_covariates_by_arity, split_holdout
+from flame_match.errors import DataError
 from flame_match.grouper import (
-    _codes,
     _drop_one_ids,
     basic_exact_match,
     count_and_flag,
@@ -259,7 +259,7 @@ def test_drop_one_ids_partition_like_the_commit(seed):
 
 @pytest.mark.parametrize("arity", [255, 256, 257, 65535, 65536, 65537])
 def test_compact_code_block_arity_boundaries(arity):
-    # every declared arity exceeds the codes seen, so the code block's dtype follows the arities alone
+    # every declared arity exceeds the codes seen, so the store's dtype follows the arities alone
     rng = np.random.default_rng(arity)
     n = 90
     covs = np.stack(
@@ -271,17 +271,43 @@ def test_compact_code_block_arity_boundaries(arity):
         ],
         axis=1,
     )
-    d = Dataset(
-        covariates=covs,
+    fields = dict(
         arities=np.array([2, arity, 4, arity]),
         treatment=rng.integers(0, 2, size=n),
         outcome=np.zeros(n),
         covariate_names=("a", "b", "c", "d"),
         unit_ids=np.arange(n),
     )
+    d = Dataset(covariates=covs, **fields)
+
+    def compact(data):
+        return data.covariates.dtype == np.min_scalar_type(arity) and data.covariates.flags.f_contiguous
+
+    assert compact(d) and d.covariates.tolist() == covs.tolist()
+    # the positional keys' weights reach arity**2 and beyond, far past the narrow dtype: they
+    # must promote the codes, not wrap; the reference keys are Python integers from an int64 copy
+    by_arity, _ = sort_covariates_by_arity(d)
+    for active in ((0, 1, 2, 3), (1, 2), (2, 3)):
+        for rows in (None, np.arange(0, n, 3)):
+            codes = by_arity.covariates.astype(np.int64)[:, list(active)]
+            codes, t = (codes, by_arity.treatment) if rows is None else (codes[rows], by_arity.treatment[rows])
+            h = [int(by_arity.arities[a]) for a in active]
+            b = [sum(c * h[k] ** k for k, c in enumerate(row)) for row in codes.tolist()]
+            b_plus = [ti + sum(c * h[k] ** (k + 1) for k, c in enumerate(row)) for ti, row in zip(t.tolist(), codes.tolist())]
+            keys = mixed_radix_keys(by_arity, active, rows)
+            assert keys.b.tolist() == b and keys.b_plus.tolist() == b_plus
+    assert all(compact(part) for part in (by_arity, d.take(np.arange(0, n, 2)), *split_holdout(d, 0.3, 1)))
+    moved = permute_covariates(d, [3, 0, 2, 1])
+    assert compact(moved) and moved.covariates.tolist() == covs[:, [3, 0, 2, 1]].tolist()
+    # validation sees the incoming values: a code of -1, a code equal to its arity, and one just past
+    # the stored dtype's range (which narrowing would wrap to 0) all raise
+    for code in (-1, arity, int(np.iinfo(np.min_scalar_type(arity)).max) + 1):
+        bad = covs.copy()
+        bad[5, 1] = code
+        with pytest.raises(DataError, match="out of range"):
+            Dataset(covariates=bad, **fields)
+
     considered = np.flatnonzero(rng.random(n) < 0.9)
-    assert _codes(d, considered, (0, 1, 2, 3)).dtype == np.min_scalar_type(arity)
-    assert _codes(d, considered, (0, 2)).dtype == np.uint8
     for active in ((0, 1, 2, 3), (1, 3), (1,), (0, 2)):
         res_a = basic_exact_match(d, considered, active, backend="mixed_radix")
         res_b = basic_exact_match(d, considered, active, backend="tuple_key")

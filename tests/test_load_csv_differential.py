@@ -77,7 +77,7 @@ def _load(loader, path, schema, encodings):
         d = loader(path, schema, None if encodings is None else {k: list(v) for k, v in encodings.items()})
     except Exception as exc:
         return type(exc), str(exc)
-    assert d.covariates.dtype == np.int64 and d.covariates.flags.c_contiguous
+    assert d.covariates.dtype == np.min_scalar_type(int(d.arities.max())) and d.covariates.flags.f_contiguous
     return (
         d.covariates.tolist(),
         d.treatment.tolist(),
@@ -176,10 +176,10 @@ def test_csv_fault_after_a_faulty_row_takes_precedence(tmp_path, three_row_chunk
     assert got == missing == (csv.Error, "field larger than field limit (20)")
 
 
-def test_covariates_are_c_contiguous_int64(tmp_path):
+def test_covariates_are_f_contiguous_narrowest_dtype(tmp_path):
     rows = "".join(f"{'xyz'[i % 3]},{i % 2},{i}.5,{'uv'[i % 2]}\n" for i in range(10))
     d = load_csv(_write(tmp_path, b"a,T,Y,b\n" + rows.encode()), SCHEMA)
-    assert d.covariates.dtype == np.int64 and d.covariates.flags.c_contiguous
+    assert d.covariates.dtype == np.uint8 and d.covariates.flags.f_contiguous
     assert d.covariates.shape == (10, 2)
 
 
