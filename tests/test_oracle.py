@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from fractions import Fraction
@@ -178,3 +179,24 @@ def test_oracle_flame_p2_golden():
         estimates = oracle_flame(allocation, 2)
         lines.append("None" if estimates is None else ";".join(format_symbolic(e) for e in estimates))
     assert "\n".join(lines) == (GOLDEN / "oracle-p2-allocations.txt").read_text(encoding="utf-8")
+
+
+# sha256 of every p = 3 allocation's estimates, one line each in
+# product(range(4), repeat=8) order: "None" when invalid, else each bin's
+# alpha then beta coefficients as "num/den", space-separated, bins joined by ";"
+P3_ALLOCATIONS_SHA256 = "82ffbe79fbe492d8ded0de47bcf27cf0ca38f2fe285e4db7656ccd1525687eff"
+
+
+def test_oracle_flame_p3_allocations_digest():
+    digest = hashlib.sha256()
+    valid = 0
+    for allocation in itertools.product(range(4), repeat=8):
+        estimates = oracle_flame(allocation, 3)
+        if estimates is None:
+            digest.update(b"None\n")
+            continue
+        valid += 1
+        line = ";".join(" ".join(f"{c.numerator}/{c.denominator}" for c in e.alpha + e.beta) for e in estimates)
+        digest.update(line.encode() + b"\n")
+    assert valid == 17931
+    assert digest.hexdigest() == P3_ALLOCATIONS_SHA256
