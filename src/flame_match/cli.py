@@ -34,8 +34,12 @@ class _Parser(argparse.ArgumentParser):
 def _atomic_write(path: str, text: str):
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
+    # mkstemp makes the file owner-only; give it the mode open(path, "w") would
+    umask = os.umask(0)
+    os.umask(umask)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
+            os.fchmod(fh.fileno(), 0o666 & ~umask)
             fh.write(text)
         os.replace(tmp, path)
     except BaseException:

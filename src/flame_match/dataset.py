@@ -159,9 +159,8 @@ class _Columns:
     t_idx: int
     y_idx: int
     cov_idx: tuple[int, ...]
-    code_maps: list[dict[str, int]]
+    code_maps: list[dict[str, int]]  # insertion order is code order
     frozen: bool
-    empty_arities: tuple[int, ...]  # of a file with no data rows: a frozen encoding's list lengths, else 0
 
     @property
     def used(self) -> tuple[int, ...]:
@@ -177,7 +176,8 @@ def load_csv(path, schema: DatasetSchema, encodings: dict[str, list[str]] | None
     header that names the treatment, the outcome or a used covariate more
     than once raises :class:`SchemaError`. Pass ``encodings`` (name ->
     category list, e.g. from a previously loaded file's dataset) to reuse an
-    encoding; an unseen category then raises :class:`DataError`.
+    encoding; an unseen category then raises :class:`DataError`, and a list
+    that names a category twice raises :class:`SchemaError`.
 
     Rows are encoded column by column, a few thousand at a time, into arrays
     sized once from a count of the file's line ends, so the cells of the whole
@@ -224,6 +224,8 @@ def _columns(path, header: list[str], schema: DatasetSchema, encodings: dict[str
             if name not in encodings:
                 raise SchemaError(f"no encoding provided for covariate {name!r}")
             code_maps.append({raw: k for k, raw in enumerate(encodings[name])})
+            if len(code_maps[-1]) != len(encodings[name]):
+                raise SchemaError(f"the encoding of covariate {name!r} names a category more than once")
         else:
             code_maps.append({})
     return _Columns(
@@ -234,7 +236,6 @@ def _columns(path, header: list[str], schema: DatasetSchema, encodings: dict[str
         cov_idx=tuple(col_index[c] for c in cov_names),
         code_maps=code_maps,
         frozen=frozen,
-        empty_arities=tuple(len(encodings[c]) if frozen else 0 for c in cov_names),
     )
 
 
@@ -251,16 +252,14 @@ def _encode(reader, cols: _Columns, bound: int) -> Dataset:
             raise next(err for err in errors if err is not None)
         n += len(chunk)
 
-    arities = np.array(cols.empty_arities if n == 0 else [len(m) for m in cols.code_maps], dtype=np.int64)
-    enc = tuple(tuple(sorted(m, key=m.get)) for m in cols.code_maps)
     return Dataset(
         covariates=codes[:n],
-        arities=arities,
+        arities=[len(m) for m in cols.code_maps],
         treatment=treatment[:n],
         outcome=outcome[:n],
         covariate_names=cols.names,
         unit_ids=np.arange(n, dtype=np.int64),
-        encodings=enc,
+        encodings=tuple(tuple(m) for m in cols.code_maps),
     )
 
 

@@ -85,78 +85,59 @@ def _arm_flag(arm) -> bool:
     raise ValueError(f"arm must be treated/control, got {arm!r}")
 
 
-@cache
-def _outcome_vec(bin_index: int, treated: bool, p: int) -> tuple[int, ...]:
-    # integer coefficient vector over (a_0..a_p, b_0..b_p); cached because
-    # bias_matrix(3) asks for its 16 distinct vectors ~520k times
-    bits = bin_bits(bin_index, p)
-    alpha = (1, *bits)
-    beta = (1, *bits) if treated else (0,) * (p + 1)
-    return alpha + beta
+def _node(bins: tuple[int, ...], states: tuple[int, ...], p: int):
+    """What the subtree over `bins` passes up, given those bins' `states`.
 
-
-def _collapse(states, p: int):
-    """Run the drop-order collapse; integer-exact per-bin estimates.
-
-    Returns (numerators, denominators) with numerators[b] an integer vector
-    and denominators[b] > 0, or None when some bin never receives an
-    estimate. The groups of all levels form a binary tree over the bins:
-    a node holds the ascending bins that share their low bits, and its two
-    children split on the lowest free bit, so the leaves are single bins
-    (level 0) and the root holds every bin (level p). Each node passes up
-    the outcome vectors of its still-unmatched treated and control units and
-    its open bins (no estimate yet). A node holding both arms resolves: the
-    difference of its per-arm mean outcomes goes to every open bin under it
-    -- the member units' own bins, plus any empty bins it covers -- and it
-    passes up nothing (matched units leave the pool, without replacement).
+    Returns (treated, control, open_bins, resolved): the integer outcome
+    vectors over (a_0..a_p, b_0..b_p) of its still-unmatched treated and
+    control units, its open bins (no estimate yet), and a (bin, numerator
+    vector, denominator) triple for every bin it resolved. The groups of all
+    levels form a binary tree over the bins: a node holds the ascending bins
+    that share their low bits, and its two children split on the lowest free
+    bit, so the leaves are single bins (level 0) and the root holds every bin
+    (level p). A node holding both arms resolves: the difference of its
+    per-arm mean outcomes goes to every open bin under it -- the member
+    units' own bins, plus any empty bins it covers -- and it passes up no
+    units (matched units leave the pool, without replacement). The result
+    depends only on the subtree's own bins and states, so every node below
+    the root is collapsed once, through `_subtree`.
     """
-    num = [None] * (1 << p)
-    den = [0] * (1 << p)
+    if len(bins) == 1:
+        (b,), (s,) = bins, states
+        x = (1, *bin_bits(b, p))
+        treated = (x + x,) if s & BinState.TREATED_ONLY else ()
+        control = (x + (0,) * (p + 1),) if s & BinState.CONTROL_ONLY else ()
+        open_bins, resolved = bins, ()
+    else:
+        t0, c0, o0, r0 = _subtree(bins[0::2], states[0::2], p)
+        t1, c1, o1, r1 = _subtree(bins[1::2], states[1::2], p)
+        treated, control, open_bins, resolved = t0 + t1, c0 + c1, o0 + o1, r0 + r1
+    if not (treated and control):
+        return treated, control, open_bins, resolved
+    n_t, n_c = len(treated), len(control)
+    vec = tuple(sum(t) * n_c - sum(c) * n_t for t, c in zip(zip(*treated), zip(*control)))
+    return (), (), (), resolved + tuple((b, vec, n_t * n_c) for b in open_bins)
 
-    def node(bins):
-        if len(bins) == 1:
-            b = bins[0]
-            s = states[b]
-            treated = [_outcome_vec(b, True, p)] if s in (BinState.TREATED_ONLY, BinState.BOTH) else []
-            control = [_outcome_vec(b, False, p)] if s in (BinState.CONTROL_ONLY, BinState.BOTH) else []
-            open_bins = [b]
-        else:
-            t0, c0, o0 = node(bins[0::2])
-            t1, c1, o1 = node(bins[1::2])
-            treated, control, open_bins = t0 + t1, c0 + c1, o0 + o1
-        if not (treated and control):
-            return treated, control, open_bins
-        n_t, n_c = len(treated), len(control)
-        vec = tuple(sum(t) * n_c - sum(c) * n_t for t, c in zip(zip(*treated), zip(*control)))
-        for b in open_bins:
-            num[b] = vec
-            den[b] = n_t * n_c
-        return [], [], []
 
-    if node(range(1 << p))[2]:
-        return None
-    return num, den
+# the root stays uncached: each allocation reaches it once
+_subtree = cache(_node)
 
 
 def oracle_flame(allocation, p: int):
     """Per-bin effect estimates for one allocation, or None when invalid."""
-    states = [BinState(s) for s in allocation]
+    states = tuple(BinState(s) for s in allocation)
     if len(states) != (1 << p):
         raise ValueError(f"allocation must cover {1 << p} bins, got {len(states)}")
-    collapsed = _collapse(states, p)
-    if collapsed is None:
+    *_, open_bins, resolved = _node(tuple(range(1 << p)), states, p)
+    if open_bins:
         return None
-    num, den = collapsed
-    out = []
-    for b in range(1 << p):
-        vec, d = num[b], den[b]
-        out.append(
-            LinearSymbolic(
-                tuple(Fraction(vec[i], d) for i in range(p + 1)),
-                tuple(Fraction(vec[i], d) for i in range(p + 1, 2 * (p + 1))),
-            )
+    return tuple(
+        LinearSymbolic(
+            tuple(Fraction(vec[i], d) for i in range(p + 1)),
+            tuple(Fraction(vec[i], d) for i in range(p + 1, 2 * (p + 1))),
         )
-    return tuple(out)
+        for _, vec, d in sorted(resolved)
+    )
 
 
 @dataclass(frozen=True)
@@ -180,17 +161,16 @@ def bias_matrix(p: int) -> BiasMatrix:
     # common denominator for all group means: arm sizes never exceed 2^p
     scale = math.lcm(*range(1, nbins + 1)) ** 2
     acc = [[0] * width for _ in range(nbins)]
+    bins = tuple(range(nbins))
     valid = 0
     # the sums are exact, so the order in which allocations arrive is immaterial
     for states in product(tuple(BinState), repeat=nbins):
-        collapsed = _collapse(states, p)
-        if collapsed is None:
+        *_, open_bins, resolved = _node(bins, states, p)
+        if open_bins:
             continue
         valid += 1
-        num, den = collapsed
-        for b in range(nbins):
-            f = scale // den[b]
-            vec = num[b]
+        for b, vec, d in resolved:
+            f = scale // d
             row = acc[b]
             for i in range(width):
                 row[i] += vec[i] * f

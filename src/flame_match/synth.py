@@ -8,6 +8,7 @@ against known truth. All randomness flows through one seeded generator.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -31,6 +32,8 @@ class SynthSpec:
             raise ValueError(f"unknown model {self.model!r}; expected one of {MODELS}")
         if self.n_control < 1 or self.n_treated < 1:
             raise ValueError("n_control and n_treated must be >= 1")
+        if self.u_coeff is not None and not math.isfinite(self.u_coeff):
+            raise ValueError(f"u_coeff must be finite, got {self.u_coeff}")
 
 
 @dataclass(frozen=True)

@@ -1,4 +1,5 @@
 import json
+import os
 from pathlib import Path
 
 import jsonschema
@@ -7,7 +8,7 @@ import pytest
 import numpy as np
 
 import flame_match.engine as engine_mod
-from flame_match.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, main
+from flame_match.cli import EXIT_DATA, EXIT_OK, EXIT_RUNTIME, EXIT_USAGE, _atomic_write, main
 
 SCHEMA_DIR = "docs"
 
@@ -322,3 +323,43 @@ def test_match_non_finite_option_is_usage_error(flag, value, table1_csv, tmp_pat
     assert code == EXIT_USAGE
     assert "must be finite" in err and len(err.strip().splitlines()) == 1
     assert not out_path.exists()
+
+
+@pytest.mark.parametrize("umask", [0o022, 0o077])
+def test_reports_get_the_mode_open_would_give(umask, tmp_path, capsys):
+    report, data = tmp_path / "bias.json", tmp_path / "d"
+    old = os.umask(umask)
+    try:
+        assert run_cli(capsys, "oracle-bias", "--p", "1", "--output", str(report))[0] == EXIT_OK
+        args = ("--model", "decay_exp", "--n-control", "5", "--n-treated", "5", "--out", str(data))
+        assert run_cli(capsys, "synth", *args)[0] == EXIT_OK
+    finally:
+        os.umask(old)
+    assert report.stat().st_mode & 0o777 == 0o666 & ~umask
+    assert Path(f"{data}.csv").stat().st_mode & 0o777 == 0o666 & ~umask
+
+
+def test_atomic_write_failure_leaves_target_untouched(tmp_path):
+    target = tmp_path / "report.json"
+    target.write_text("old")
+    with pytest.raises(UnicodeEncodeError):
+        _atomic_write(str(target), "new \ud800")  # a lone surrogate has no UTF-8 form
+    assert target.read_text() == "old"
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+def test_synth_non_finite_u_coeff_is_usage_error(value, tmp_path, capsys):
+    prefix = tmp_path / "x"
+    code, _, err = run_cli(
+        capsys,
+        "synth",
+        "--model", "quadratic",
+        "--n-control", "5",
+        "--n-treated", "5",
+        f"--u-coeff={value}",
+        "--out", str(prefix),
+    )
+    assert code == EXIT_USAGE
+    assert "u_coeff must be finite" in err and len(err.strip().splitlines()) == 1
+    assert os.listdir(tmp_path) == []

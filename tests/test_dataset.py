@@ -247,3 +247,29 @@ def test_split_fraction_bounds():
     for bad in (0.0, 1.0, -0.1, 1.7):
         with pytest.raises(ValueError):
             split_holdout(d, bad, seed=0)
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [
+        ({"arities": np.array([2, 2])}, "expected 1 arities"),
+        ({"covariate_names": ("a", "b")}, "expected 1 covariate names"),
+        ({"treatment": np.array([0, 1, 1])}, "treatment length"),
+        ({"outcome": np.zeros(3)}, "outcome length"),
+        ({"unit_ids": np.arange(3)}, "unit_ids length"),
+    ],
+)
+def test_dataset_shapes_must_agree(change, message):
+    with pytest.raises(DataError, match=message):
+        Dataset(**{**TWO_UNITS, **change})
+
+
+def test_decode_without_encodings_gives_the_code():
+    d = Dataset(**TWO_UNITS)
+    assert d.decode(1, 0) == "1"
+
+
+def test_no_covariate_column_in_file_rejected(write_csv):
+    path = write_csv("ty.csv", ["T", "Y"], [[0, 1], [1, 2]])
+    with pytest.raises(SchemaError, match="no covariate columns remain"):
+        load_csv(path, SCHEMA)

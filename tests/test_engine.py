@@ -108,6 +108,9 @@ def test_run_flame_validates_inputs():
     )
     with pytest.raises(SchemaError):
         run_flame(matching, other_schema)
+    other_arities = _dataset([[0], [2]], [0, 1], [0.0, 1.0])
+    with pytest.raises(SchemaError, match="arities"):
+        run_flame(matching, other_arities)
 
 
 def test_empty_matching_dataset():

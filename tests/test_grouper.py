@@ -459,3 +459,8 @@ def test_emit_sql_runs_and_stamps_the_matched_rows(table1):
     assert stamped == basic_exact_match(table1, np.arange(4), (0, 1)).matched.tolist() == [1, 3]
     assert db.execute("SELECT COUNT(*) FROM D WHERE is_matched NOT IN (0, 1)").fetchone() == (0,)
     db.close()
+
+
+def test_unknown_backend_rejected(table1):
+    with pytest.raises(ValueError, match="unknown backend 'banana'"):
+        basic_exact_match(table1, np.arange(4), (0, 1), "banana")

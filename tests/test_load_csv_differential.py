@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from flame_match import dataset
 from flame_match.dataset import DatasetSchema, load_csv
-from flame_match.errors import DataError
+from flame_match.errors import DataError, SchemaError
 from reference_load_csv import reference_load_csv
 
 CATEGORIES = ["x", "y", "z"] * 8 + [" x ", "x\t", "a,b", 'q"t', "p\nq", "r\rs"]
@@ -52,14 +52,12 @@ def csv_files(draw):
     covariates = draw(st.sampled_from([(), ("a", "b"), ("b",), ("u", "a")]))
     encodings = None
     if draw(st.booleans()):
-        # a frozen encoding may lack a category the file holds, repeat one, or lack a column
+        # a frozen encoding may lack a category the file holds, or lack a column
         encodings = {}
         for name in covariates or ("a", "b", "u"):
             known = draw(st.permutations(list(dict.fromkeys(c.strip() for c in CATEGORIES))))
             if draw(st.integers(0, 3)) == 0:
                 known = known[1:]
-            if draw(st.integers(0, 5)) == 0:
-                known = known + known[-1:]
             if draw(st.integers(0, 19)) > 0:
                 encodings[name] = known
     return data, DatasetSchema("T", "Y", covariates), encodings
@@ -162,6 +160,23 @@ def test_unseen_category_on_chunk_boundary(tmp_path, three_row_chunks):
     assert got == (DataError, "row 4: outcome value 'nan' is not a finite number")
     path = _write(tmp_path, b"a,T,Y\nx,1,2\ny,0,3\nx,0,4\nz,1,5\n")
     assert _assert_same_load(path, SCHEMA, {"a": ["x", "y"]}) == (DataError, "row 4: unseen category 'z' in column 'a'")
+
+
+def test_repeated_category_in_frozen_encoding_is_rejected(tmp_path):
+    # the reference loader took such a list silently and mislabelled codes, so this is checked here alone
+    path = _write(tmp_path, b"a,T,Y\nx,1,2\nx,0,3\n")
+    with pytest.raises(SchemaError, match="'a' names a category more than once"):
+        load_csv(path, SCHEMA, {"a": ["x", "x", "y"]})
+    with pytest.raises(SchemaError, match="more than once"):
+        load_csv(_write(tmp_path, b"a,T,Y\n"), SCHEMA, {"a": ["x", "x", "y"]})
+    # a CSV fault later in the file still takes precedence
+    path = _write(tmp_path, b"a,T,Y\nx,1,2\n" + b"x" * 40 + b",1,2\n")
+    limit = csv.field_size_limit(20)
+    try:
+        with pytest.raises(csv.Error, match="field larger than field limit"):
+            load_csv(path, SCHEMA, {"a": ["x", "x", "y"]})
+    finally:
+        csv.field_size_limit(limit)
 
 
 def test_csv_fault_after_a_faulty_row_takes_precedence(tmp_path, three_row_chunks):

@@ -200,3 +200,16 @@ def test_oracle_flame_p3_allocations_digest():
         digest.update(line.encode() + b"\n")
     assert valid == 17931
     assert digest.hexdigest() == P3_ALLOCATIONS_SHA256
+
+
+def test_bin_and_arm_arguments_checked():
+    for bad in (-1, 4):
+        with pytest.raises(ValueError, match="out of range for p=2"):
+            true_cate(bad, 2)
+        with pytest.raises(ValueError, match="out of range for p=2"):
+            unit_outcome(bad, "treated", 2)
+    for arm in ("both", 2, None):
+        with pytest.raises(ValueError, match="arm must be treated/control"):
+            unit_outcome(0, arm, 2)
+    assert unit_outcome(1, True, 2) == unit_outcome(1, 1, 2) == unit_outcome(1, "treated", 2)
+    assert unit_outcome(1, False, 2) == unit_outcome(1, 0, 2) == unit_outcome(1, "control", 2)
