@@ -18,9 +18,7 @@ _EXPORTS = {
     "count_and_flag": "grouper",
     "basic_exact_match": "grouper",
     "emit_sql": "grouper",
-    "PredictorPair": "quality",
     "LevelQuality": "quality",
-    "fit_predictor": "quality",
     "prediction_error": "quality",
     "pooled_prediction_error": "quality",
     "balancing_factor": "quality",
@@ -30,13 +28,11 @@ _EXPORTS = {
     "StopReason": "engine",
     "run_flame": "engine",
     "estimate_ate": "engine",
-    "variance_upper_bound": "engine",
     "subpopulation_report": "engine",
     "LinearSymbolic": "oracle",
     "BinState": "oracle",
     "BiasMatrix": "oracle",
     "true_cate": "oracle",
-    "unit_outcome": "oracle",
     "oracle_flame": "oracle",
     "bias_matrix": "oracle",
     "SynthSpec": "synth",

@@ -119,11 +119,13 @@ class Dataset:
         return self.n_units - self.n_treated
 
     def take(self, rows) -> "Dataset":
-        """Row subset preserving schema, encodings and unit ids."""
+        """Row subset preserving schema, encodings and unit ids; ``rows`` is an index array or a boolean mask."""
         rows = np.asarray(rows)
+        # np.take reads a mask as indices; along the column-major store's rows it gathers straight into column-major
+        idx = np.flatnonzero(rows) if rows.dtype == bool else rows
         return replace(
             self,
-            covariates=self.covariates[rows],
+            covariates=np.take(self.covariates.T, idx, axis=1).T,
             treatment=self.treatment[rows],
             outcome=self.outcome[rows],
             unit_ids=self.unit_ids[rows],
@@ -176,8 +178,9 @@ def load_csv(path, schema: DatasetSchema, encodings: dict[str, list[str]] | None
     header that names the treatment, the outcome or a used covariate more
     than once raises :class:`SchemaError`. Pass ``encodings`` (name ->
     category list, e.g. from a previously loaded file's dataset) to reuse an
-    encoding; an unseen category then raises :class:`DataError`, and a list
-    that names a category twice raises :class:`SchemaError`.
+    encoding; its entries are stripped like the cells, an unseen category then
+    raises :class:`DataError`, and a list that names a category twice (after
+    stripping) raises :class:`SchemaError`.
 
     Rows are encoded column by column, a few thousand at a time, into arrays
     sized once from a count of the file's line ends, so the cells of the whole
@@ -223,7 +226,8 @@ def _columns(path, header: list[str], schema: DatasetSchema, encodings: dict[str
         if frozen:
             if name not in encodings:
                 raise SchemaError(f"no encoding provided for covariate {name!r}")
-            code_maps.append({raw: k for k, raw in enumerate(encodings[name])})
+            # cells are stripped before the lookup, so the entries are too
+            code_maps.append({raw.strip(): k for k, raw in enumerate(encodings[name])})
             if len(code_maps[-1]) != len(encodings[name]):
                 raise SchemaError(f"the encoding of covariate {name!r} names a category more than once")
         else:

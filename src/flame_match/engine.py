@@ -44,7 +44,9 @@ class FlameConfig:
     been at or above it); it is off by default. ``c_param``, ``epsilon``
     and ``mq_drop_threshold`` must be finite. ``backend`` chooses the
     grouping that commits each level; trial drops are always scored from
-    :func:`drop_one_ranks`.
+    :func:`drop_one_ranks`. ``seed`` is not read by :func:`run_flame`: it
+    records the holdout-split seed (the CLI's ``--seed``) in the report's
+    ``config``.
     """
 
     c_param: float = 0.001
@@ -76,7 +78,13 @@ class FlameConfig:
 
 @dataclass(frozen=True)
 class LevelRecord:
-    """One committed level: its groups, and per group its CATE and variance upper bound."""
+    """One committed level: its groups, and per group its CATE and variance upper bound.
+
+    The bound is the treated arm's sample variance plus the control arm's, a
+    single-member arm contributing 0. It upper-bounds the conditional variance
+    of the within-group effect when the two potential outcomes are
+    non-negatively correlated.
+    """
 
     level: int
     active: tuple[int, ...]
@@ -107,21 +115,6 @@ class MatchRun:
         return self.n_units - self.unmatched_unit_ids.size
 
 
-def variance_upper_bound(treated_outcomes, control_outcomes) -> float:
-    """Sample variance of treated outcomes plus sample variance of control outcomes.
-
-    Upper-bounds the conditional variance of the within-group effect when the
-    two potential outcomes are non-negatively correlated. Single-member arms
-    contribute 0.
-    """
-    total = 0.0
-    for arr in (treated_outcomes, control_outcomes):
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.size >= 2:
-            total += float(arr.var(ddof=1))
-    return total
-
-
 def _arm_moments(y: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Mean and sample variance (0 for one member) of each consecutive run of ``y``, of lengths ``sizes``.
 
@@ -143,7 +136,7 @@ def _arm_moments(y: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarr
 
 
 def _level_record(d: Dataset, level: int, active, quality: LevelQuality, table: GroupTable) -> LevelRecord:
-    """Per group: treated-minus-control mean outcome and :func:`variance_upper_bound`, in one pass."""
+    """Per group: treated-minus-control mean outcome and the two arms' summed sample variances, in one pass."""
     # each group's rows are contiguous, so either arm's selection keeps its runs in group order
     treated = d.treatment[table.rows] == 1
     y = d.outcome[table.rows]

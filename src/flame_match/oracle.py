@@ -63,26 +63,9 @@ def true_cate(bin_index: int, p: int) -> LinearSymbolic:
     return LinearSymbolic((Fraction(0),) * (p + 1), tuple(beta))
 
 
-def unit_outcome(bin_index: int, arm, p: int) -> LinearSymbolic:
-    """Noise-free outcome of the single unit in (bin, arm)."""
-    _check_bin(bin_index, p)
-    treated = _arm_flag(arm)
-    alpha = [Fraction(1)] + [Fraction(bit) for bit in bin_bits(bin_index, p)]
-    base = LinearSymbolic(tuple(alpha), (Fraction(0),) * (p + 1))
-    return base + true_cate(bin_index, p) if treated else base
-
-
 def _check_bin(bin_index: int, p: int):
     if not (0 <= bin_index < (1 << p)):
         raise ValueError(f"bin index {bin_index} out of range for p={p}")
-
-
-def _arm_flag(arm) -> bool:
-    if arm in (1, "treated", True):
-        return True
-    if arm in (0, "control", False):
-        return False
-    raise ValueError(f"arm must be treated/control, got {arm!r}")
 
 
 def _node(bins: tuple[int, ...], states: tuple[int, ...], p: int):

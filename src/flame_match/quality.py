@@ -33,14 +33,6 @@ def _fit(X: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class PredictorPair:
-    """Fitted per-arm coefficients: intercept followed by one weight per active covariate."""
-
-    model_control: np.ndarray
-    model_treatment: np.ndarray
-
-
-@dataclass(frozen=True)
 class LevelQuality:
     pe: float
     bf: float
@@ -48,8 +40,8 @@ class LevelQuality:
     c_param: float
 
 
-def _arm_fits(holdout: Dataset, active):
-    """Per arm, control then treated: its C-ordered float64 codes on ``active``, its outcomes and its :func:`_fit`."""
+def _arm_residuals(holdout: Dataset, active) -> tuple[np.ndarray, np.ndarray]:
+    """Residuals of each arm's own :func:`_fit` on its holdout units: (control, treated)."""
     # unlike grouping, an empty active set is meaningful here: the model
     # degenerates to a per-arm intercept
     active = check_active(active, holdout.n_covariates) if len(tuple(active)) else ()
@@ -59,31 +51,18 @@ def _arm_fits(holdout: Dataset, active):
     # the float block is C-ordered whatever the store's layout: that fixes the
     # summation order of the fit and so every bit of the residuals
     codes = holdout.covariates[:, list(active)]
+    residuals = []
     for rows in arms:
         X, y = np.ascontiguousarray(codes[rows], dtype=np.float64), holdout.outcome[rows]
-        yield X, y, _fit(X, y)
-
-
-def fit_predictor(holdout: Dataset, active) -> PredictorPair:
-    """Fit the linear model per arm on the active covariate codes."""
-    (_, _, control), (_, _, treated) = _arm_fits(holdout, active)
-    return PredictorPair(model_control=control, model_treatment=treated)
-
-
-def _arm_residuals(holdout: Dataset, active) -> tuple[np.ndarray, np.ndarray]:
-    """Residuals of each arm's own fitted model on its holdout units: (control, treated)."""
-    return tuple(y - (coeffs[0] + X @ coeffs[1:]) for X, y, coeffs in _arm_fits(holdout, active))
-
-
-def arm_prediction_errors(holdout: Dataset, active):
-    """Mean squared residual of each arm's own model: (control, treated)."""
-    return tuple(float(np.mean(resid**2)) for resid in _arm_residuals(holdout, active))
+        coeffs = _fit(X, y)
+        residuals.append(y - (coeffs[0] + X @ coeffs[1:]))
+    return tuple(residuals)
 
 
 def prediction_error(holdout: Dataset, active) -> float:
     """Sum of the two arms' mean squared residuals on the holdout."""
-    pe_control, pe_treated = arm_prediction_errors(holdout, active)
-    return pe_control + pe_treated
+    control, treated = _arm_residuals(holdout, active)
+    return float(np.mean(control**2)) + float(np.mean(treated**2))
 
 
 def pooled_prediction_error(holdout: Dataset, active) -> float:

@@ -5,9 +5,13 @@ units are plain tuples of codes, groups are dict buckets keyed by the
 signature tuple, and the loop follows the algorithm's description step by
 step. Scores come from flame_match.quality, so PE, BF and MQ are the same
 floats the engine compares, and a float tie is a tie in both.
+:func:`variance_upper_bound` is the scalar form of the per-group variance
+bound that the engine computes as a column.
 """
 
 from dataclasses import dataclass
+
+import numpy as np
 
 from flame_match.quality import balancing_factor, prediction_error
 
@@ -20,6 +24,16 @@ class ReferenceRun:
     scores: list  # per scored level: {covariate: mq of dropping it}
     groups: list  # per committed level: [(signature, rows, n_treated, n_control)], by signature
     level_mqs: list  # per committed level: its MQ, C * BF - PE
+
+
+def variance_upper_bound(treated_outcomes, control_outcomes) -> float:
+    """Sample variance of treated outcomes plus sample variance of control outcomes; single-member arms contribute 0."""
+    total = 0.0
+    for arr in (treated_outcomes, control_outcomes):
+        arr = np.asarray(arr, dtype=np.float64)
+        if arr.size >= 2:
+            total += float(arr.var(ddof=1))
+    return total
 
 
 def _valid_groups(codes, treatment, pool, active):

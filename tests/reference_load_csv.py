@@ -24,7 +24,8 @@ def reference_load_csv(path, schema: DatasetSchema, encodings: dict[str, list[st
     header that names the treatment, the outcome or a used covariate more
     than once raises :class:`SchemaError`. Pass ``encodings`` (name ->
     category list, e.g. from a previously loaded file's dataset) to reuse an
-    encoding; an unseen category then raises :class:`DataError`.
+    encoding; its entries are stripped like the cells, and an unseen category
+    then raises :class:`DataError`.
     """
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -58,7 +59,7 @@ def reference_load_csv(path, schema: DatasetSchema, encodings: dict[str, list[st
         if frozen:
             if name not in encodings:
                 raise SchemaError(f"no encoding provided for covariate {name!r}")
-            code_maps.append({raw: k for k, raw in enumerate(encodings[name])})
+            code_maps.append({raw.strip(): k for k, raw in enumerate(encodings[name])})
         else:
             code_maps.append({})
 

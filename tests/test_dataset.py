@@ -79,6 +79,19 @@ def test_reused_encoding_and_unseen_category(write_csv):
         load_csv(path3, SCHEMA, encodings={"a": list(d1.encodings[0])})
 
 
+def test_frozen_encoding_entries_are_stripped(write_csv):
+    path = write_csv("s.csv", ["a", "T", "Y"], [[" x ", 1, 2], ["y", 0, 3]])
+    d = load_csv(path, SCHEMA, encodings={"a": [" x ", "y"]})
+    assert d.covariates[:, 0].tolist() == [0, 1]
+    assert d.encodings == (("x", "y"),)
+
+
+def test_frozen_encoding_entries_that_strip_alike_rejected(write_csv):
+    path = write_csv("s.csv", ["a", "T", "Y"], [[" x ", 1, 2], ["y", 0, 3]])
+    with pytest.raises(SchemaError, match="names a category more than once"):
+        load_csv(path, SCHEMA, encodings={"a": ["x", " x", "y"]})
+
+
 def test_schema_validation():
     with pytest.raises(SchemaError):
         DatasetSchema("T", "T")
@@ -215,6 +228,17 @@ def test_permute_is_invertible():
     sorted_d, perm = sort_covariates_by_arity(d)
     inverse = np.argsort(perm)
     assert np.array_equal(permute_covariates(sorted_d, inverse).covariates, d.covariates)
+
+
+def test_take_mask_equals_indices():
+    d = _dataset([2, 300, 5], n=40, seed=4)
+    mask = np.random.default_rng(5).integers(0, 2, size=d.n_units).astype(bool)
+    by_mask, by_index = d.take(mask), d.take(np.flatnonzero(mask))
+    for field in ("covariates", "treatment", "outcome", "unit_ids"):
+        assert np.array_equal(getattr(by_mask, field), getattr(by_index, field))
+    assert np.array_equal(by_mask.covariates, d.covariates[mask])
+    assert by_mask.covariates.flags.f_contiguous and by_index.covariates.flags.f_contiguous
+    assert by_mask.covariates.dtype == by_index.covariates.dtype == d.covariates.dtype == np.uint16
 
 
 def test_split_sizes_and_partition():

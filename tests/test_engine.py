@@ -18,12 +18,12 @@ from flame_match.engine import (
     matchrun_units_csv,
     run_flame,
     subpopulation_report,
-    variance_upper_bound,
 )
 from flame_match.errors import DegenerateHoldoutError, NoEstimateError, SchemaError
 from flame_match.grouper import GroupTable
 from flame_match.quality import match_quality
 from flame_match.synth import SynthSpec, generate
+from reference_flame import variance_upper_bound
 
 
 def _dataset(covs, treatment, outcome, ids=None):

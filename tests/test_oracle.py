@@ -16,7 +16,6 @@ from flame_match.oracle import (
     format_symbolic,
     oracle_flame,
     true_cate,
-    unit_outcome,
 )
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -36,27 +35,14 @@ def test_true_cate_values():
     assert all(a == 0 for a in true_cate(3, 2).alpha)
 
 
-def test_unit_outcome_values():
-    assert unit_outcome(0, "control", 2).alpha == coeffs(1, 0, 0)
-    assert unit_outcome(0, "control", 2).beta == coeffs(0, 0, 0)
-    treated = unit_outcome(1, "treated", 2)
-    assert treated.alpha == coeffs(1, 1, 0)
-    assert treated.beta == coeffs(1, 1, 0)
-
-
-def test_outcome_difference_is_true_cate():
-    for p in (1, 2, 3):
-        for b in range(1 << p):
-            diff = unit_outcome(b, "treated", p) - unit_outcome(b, "control", p)
-            assert diff == true_cate(b, p)
-
-
 def test_all_both_allocation_is_exact():
-    p = 2
-    estimates = oracle_flame([B, B, B, B], p)
-    assert estimates is not None
-    for b in range(4):
-        assert estimates[b] == true_cate(b, p)
+    # every bin holds one unit per arm, so each resolves at level 0 to its
+    # treated-minus-control outcome difference, which is the true effect
+    for p in (1, 2, 3):
+        estimates = oracle_flame([B] * (1 << p), p)
+        assert estimates is not None
+        for b in range(1 << p):
+            assert estimates[b] == true_cate(b, p)
 
 
 def test_single_covariate_cross_pair():
@@ -206,10 +192,3 @@ def test_bin_and_arm_arguments_checked():
     for bad in (-1, 4):
         with pytest.raises(ValueError, match="out of range for p=2"):
             true_cate(bad, 2)
-        with pytest.raises(ValueError, match="out of range for p=2"):
-            unit_outcome(bad, "treated", 2)
-    for arm in ("both", 2, None):
-        with pytest.raises(ValueError, match="arm must be treated/control"):
-            unit_outcome(0, arm, 2)
-    assert unit_outcome(1, True, 2) == unit_outcome(1, 1, 2) == unit_outcome(1, "treated", 2)
-    assert unit_outcome(1, False, 2) == unit_outcome(1, 0, 2) == unit_outcome(1, "control", 2)

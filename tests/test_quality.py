@@ -6,9 +6,8 @@ from hypothesis import strategies as st
 from flame_match.dataset import Dataset
 from flame_match.errors import DegenerateHoldoutError
 from flame_match.quality import (
-    arm_prediction_errors,
+    _fit,
     balancing_factor,
-    fit_predictor,
     match_quality,
     pooled_prediction_error,
     prediction_error,
@@ -35,20 +34,26 @@ def _linear_holdout(n=400, seed=0):
     return _dataset(covs, t, y)
 
 
+def _arm_fits(d, active):
+    """:func:`_fit` of each arm's float block on ``active``: (control, treated) coefficients, intercept first."""
+    block = d.covariates[:, list(active)].astype(np.float64)
+    return tuple(_fit(block[d.treatment == t], d.outcome[d.treatment == t]) for t in (0, 1))
+
+
 def test_fit_recovers_noise_free_linear_model():
     d = _linear_holdout()
-    pair = fit_predictor(d, (0, 1))
-    assert np.allclose(pair.model_control, [0.0, 2.0, 3.0], atol=1e-4)
-    assert np.allclose(pair.model_treatment, [10.0, 2.0, 3.0], atol=1e-4)
+    control, treated = _arm_fits(d, (0, 1))
+    assert np.allclose(control, [0.0, 2.0, 3.0], atol=1e-4)
+    assert np.allclose(treated, [10.0, 2.0, 3.0], atol=1e-4)
 
 
 def test_fit_constant_outcome():
     rng = np.random.default_rng(1)
     covs = rng.integers(0, 2, size=(100, 3))
     d = _dataset(covs, rng.integers(0, 2, size=100), np.full(100, 5.0))
-    pair = fit_predictor(d, (0, 1, 2))
-    assert np.allclose(pair.model_control, [5, 0, 0, 0], atol=1e-3)
-    assert np.allclose(pair.model_treatment, [5, 0, 0, 0], atol=1e-3)
+    control, treated = _arm_fits(d, (0, 1, 2))
+    assert np.allclose(control, [5, 0, 0, 0], atol=1e-3)
+    assert np.allclose(treated, [5, 0, 0, 0], atol=1e-3)
 
 
 def test_fit_recovers_symmetric_design_weights():
@@ -59,18 +64,16 @@ def test_fit_recovers_symmetric_design_weights():
     t = rng.integers(0, 2, size=n)
     y = (2 * codes - 1) @ w + w_t * t + rng.normal(0, sigma, size=n)
     d = _dataset(codes, t, y)
-    pair = fit_predictor(d, (0, 1))
+    control, treated = _arm_fits(d, (0, 1))
     n_arm = min((t == 0).sum(), (t == 1).sum())
     tol = 3 * sigma / np.sqrt(n_arm)
-    assert np.all(np.abs(pair.model_control[1:] / 2 - w) <= tol)
-    assert np.all(np.abs(pair.model_treatment[1:] / 2 - w) <= tol)
+    assert np.all(np.abs(control[1:] / 2 - w) <= tol)
+    assert np.all(np.abs(treated[1:] / 2 - w) <= tol)
 
 
 def test_degenerate_holdout_raises():
     covs = np.array([[0], [1]])
     d = _dataset(covs, [1, 1], [0.0, 1.0])
-    with pytest.raises(DegenerateHoldoutError):
-        fit_predictor(d, (0,))
     with pytest.raises(DegenerateHoldoutError):
         prediction_error(d, (0,))
 
@@ -79,8 +82,7 @@ def test_underdetermined_arm_is_allowed():
     # one treated unit, three coefficients: the ridge keeps it solvable
     covs = np.array([[0, 1], [1, 0], [1, 1], [0, 0]])
     d = _dataset(covs, [0, 0, 0, 1], [1.0, 2.0, 3.0, 4.0])
-    pair = fit_predictor(d, (0, 1))
-    assert np.all(np.isfinite(pair.model_treatment))
+    assert np.isfinite(prediction_error(d, (0, 1)))
 
 
 def test_perfect_fit_pe_tiny():
@@ -147,12 +149,6 @@ def test_pe_invariant_to_order_and_duplication():
         unit_ids=np.arange(2 * noisy.n_units),
     )
     assert prediction_error(doubled, (0, 1)) == pytest.approx(base, rel=1e-9)
-
-
-def test_arm_errors_sum_to_pe():
-    d = _linear_holdout(seed=10)
-    pe_c, pe_t = arm_prediction_errors(d, (0, 1))
-    assert pe_c + pe_t == pytest.approx(prediction_error(d, (0, 1)), abs=1e-12)
 
 
 @pytest.mark.parametrize(
