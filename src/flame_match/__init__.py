@@ -1,7 +1,8 @@
 """Almost-exact matching engine for observational causal inference on categorical data.
 
-Submodules import lazily so light entry points (the SQL emitter, the exact
-bias enumerator) do not pay for the numeric stack.
+Submodules import lazily, so the exact bias enumerator (``oracle``) does not
+pay for the numeric stack. The SQL emitter ``emit_sql`` lives in ``grouper``,
+which imports numpy.
 """
 
 __version__ = "0.1.0"

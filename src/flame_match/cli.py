@@ -2,8 +2,9 @@
 
 Exit codes: 0 success, 1 usage error, 2 data error, 3 runtime failure. Every
 nonzero exit writes a single diagnostic line to stderr. Subcommand handlers
-import the heavy modules lazily so that light commands start fast. Output
-files are written atomically (write to a temp file, then rename).
+import the heavy modules lazily so that light commands start fast. Match
+reports and bias tables are written atomically (write to a temp file, then
+rename); ``synth`` writes its CSV and sidecar with plain ``open``.
 """
 
 from __future__ import annotations

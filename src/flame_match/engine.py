@@ -46,7 +46,9 @@ class FlameConfig:
     grouping that commits each level; trial drops are always scored from
     :func:`drop_one_ranks`. ``seed`` is not read by :func:`run_flame`: it
     records the holdout-split seed (the CLI's ``--seed``) in the report's
-    ``config``.
+    ``config``. A bool where a number is meant, a non-bool flag or a
+    non-integer ``max_levels`` or ``seed`` raises ``ValueError``; a numpy
+    scalar is stored as the Python number it equals.
     """
 
     c_param: float = 0.001
@@ -60,6 +62,24 @@ class FlameConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name, label, kind in (
+            ("c_param", "a number", (int, float)),
+            ("epsilon", "a number", (int, float)),
+            ("mq_drop_threshold", "a number", (int, float)),
+            ("max_levels", "an integer", int),
+            ("seed", "an integer", int),
+            ("replacement", "a bool", bool),
+            ("stop_on_pe_blowup", "a bool", bool),
+        ):
+            value = getattr(self, name)
+            if isinstance(value, np.generic):
+                # the Python scalar it equals, so that the report serializes
+                value = value.item()
+                object.__setattr__(self, name, value)
+            optional = value is None and name in ("mq_drop_threshold", "max_levels")
+            # bool is an int subclass: a flag must be a bool, and a number must not be one
+            if not optional and (isinstance(value, bool) != (kind is bool) or not isinstance(value, kind)):
+                raise ValueError(f"{name} must be {label}, got {value!r}")
         for name in ("c_param", "epsilon", "mq_drop_threshold"):
             value = getattr(self, name)
             if value is not None and not math.isfinite(value):

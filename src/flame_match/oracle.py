@@ -17,6 +17,8 @@ from __future__ import annotations
 
 import json
 import math
+import operator
+from collections import Counter
 from dataclasses import dataclass
 from enum import IntEnum
 from fractions import Fraction
@@ -68,38 +70,53 @@ def _check_bin(bin_index: int, p: int):
         raise ValueError(f"bin index {bin_index} out of range for p={p}")
 
 
-def _node(bins: tuple[int, ...], states: tuple[int, ...], p: int):
-    """What the subtree over `bins` passes up, given those bins' `states`.
+@cache
+def _scale(p: int) -> int:
+    """Common denominator of every estimate: arm sizes never exceed 2^p."""
+    return math.lcm(*range(1, (1 << p) + 1)) ** 2
 
-    Returns (treated, control, open_bins, resolved): the integer outcome
-    vectors over (a_0..a_p, b_0..b_p) of its still-unmatched treated and
-    control units, its open bins (no estimate yet), and a (bin, numerator
-    vector, denominator) triple for every bin it resolved. The groups of all
-    levels form a binary tree over the bins: a node holds the ascending bins
-    that share their low bits, and its two children split on the lowest free
-    bit, so the leaves are single bins (level 0) and the root holds every bin
-    (level p). A node holding both arms resolves: the difference of its
-    per-arm mean outcomes goes to every open bin under it -- the member
-    units' own bins, plus any empty bins it covers -- and it passes up no
-    units (matched units leave the pool, without replacement). The result
-    depends only on the subtree's own bins and states, so every node below
-    the root is collapsed once, through `_subtree`.
+
+def _symbolic(vec, denominator: int) -> LinearSymbolic:
+    """The LinearSymbolic whose coefficients are the integers `vec` over `denominator`."""
+    coeffs = tuple(Fraction(v, denominator) for v in vec)
+    return LinearSymbolic(coeffs[: len(vec) // 2], coeffs[len(vec) // 2 :])
+
+
+def _merge(left, right, p: int):
+    """Pool two results and resolve the pool if it holds both arms.
+
+    A result is (treated, control, open_bins, resolved): the integer outcome
+    vectors over (a_0..a_p, b_0..b_p) of its unmatched units per arm, its
+    open bins (no estimate yet) and a (bin, estimate) pair per resolved bin.
+    Resolving gives every open bin -- its units' own bins and any empty bins
+    it covers -- the difference of the per-arm mean outcomes, as integers
+    over `_scale(p)`; matched units leave the pool (no replacement).
+    """
+    treated, control, open_bins, resolved = (a + b for a, b in zip(left, right))
+    if not (treated and control):
+        return treated, control, open_bins, resolved
+    f_t, f_c = _scale(p) // len(treated), _scale(p) // len(control)
+    vec = tuple(sum(t) * f_t - sum(c) * f_c for t, c in zip(zip(*treated), zip(*control)))
+    return (), (), (), resolved + tuple((b, vec) for b in open_bins)
+
+
+def _node(bins: tuple[int, ...], states: tuple[int, ...], p: int):
+    """The `_merge` result the subtree over `bins` passes up, given those bins' `states`.
+
+    The groups of all levels form a binary tree over the bins: a node holds
+    the ascending bins that share their low bits, and its children split on
+    the lowest free bit, down to single bins (level 0) under the root (level
+    p). A leaf merges its bin's two arms, any other node its two children.
+    A node depends only on its own bins and states, so every node below the
+    root is collapsed once, through `_subtree`.
     """
     if len(bins) == 1:
         (b,), (s,) = bins, states
         x = (1, *bin_bits(b, p))
-        treated = (x + x,) if s & BinState.TREATED_ONLY else ()
-        control = (x + (0,) * (p + 1),) if s & BinState.CONTROL_ONLY else ()
-        open_bins, resolved = bins, ()
-    else:
-        t0, c0, o0, r0 = _subtree(bins[0::2], states[0::2], p)
-        t1, c1, o1, r1 = _subtree(bins[1::2], states[1::2], p)
-        treated, control, open_bins, resolved = t0 + t1, c0 + c1, o0 + o1, r0 + r1
-    if not (treated and control):
-        return treated, control, open_bins, resolved
-    n_t, n_c = len(treated), len(control)
-    vec = tuple(sum(t) * n_c - sum(c) * n_t for t, c in zip(zip(*treated), zip(*control)))
-    return (), (), (), resolved + tuple((b, vec, n_t * n_c) for b in open_bins)
+        treated = ((x + x,) if s & BinState.TREATED_ONLY else (), (), bins, ())
+        control = ((), (x + (0,) * (p + 1),) if s & BinState.CONTROL_ONLY else (), (), ())
+        return _merge(treated, control, p)
+    return _merge(_subtree(bins[0::2], states[0::2], p), _subtree(bins[1::2], states[1::2], p), p)
 
 
 # the root stays uncached: each allocation reaches it once
@@ -114,13 +131,7 @@ def oracle_flame(allocation, p: int):
     *_, open_bins, resolved = _node(tuple(range(1 << p)), states, p)
     if open_bins:
         return None
-    return tuple(
-        LinearSymbolic(
-            tuple(Fraction(vec[i], d) for i in range(p + 1)),
-            tuple(Fraction(vec[i], d) for i in range(p + 1, 2 * (p + 1))),
-        )
-        for _, vec, d in sorted(resolved)
-    )
+    return tuple(_symbolic(vec, _scale(p)) for _, vec in sorted(resolved))
 
 
 @dataclass(frozen=True)
@@ -133,40 +144,28 @@ class BiasMatrix:
 def bias_matrix(p: int) -> BiasMatrix:
     """Average per-bin bias over all valid allocations, exact rationals.
 
-    Scans the full 4^(2^p) allocation space and keeps the allocations whose
-    collapse leaves an estimate in every bin. p = 4 would take ~4.3e9
-    collapses, so p is limited to 1, 2 or 3.
+    Covers the full 4^(2^p) allocation space: each root child is collapsed
+    once per allocation of its own half, every pair of the two lists is
+    merged at the root, and the pairs that leave an estimate in every bin are
+    valid. p = 4 would take ~4.3e9 root merges, so p is limited to 1, 2 or 3.
     """
-    if p not in (1, 2, 3):
+    if isinstance(p, bool) or not hasattr(p, "__index__") or (p := operator.index(p)) not in (1, 2, 3):
         raise ValueError(f"p must be 1, 2 or 3, got {p}")
-    nbins = 1 << p
-    width = 2 * (p + 1)
-    # common denominator for all group means: arm sizes never exceed 2^p
-    scale = math.lcm(*range(1, nbins + 1)) ** 2
-    acc = [[0] * width for _ in range(nbins)]
-    bins = tuple(range(nbins))
-    valid = 0
+    bins = tuple(range(1 << p))
+    halves = [[_subtree(bins[k::2], s, p) for s in product(tuple(BinState), repeat=len(bins) // 2)] for k in (0, 1)]
     # the sums are exact, so the order in which allocations arrive is immaterial
-    for states in product(tuple(BinState), repeat=nbins):
-        *_, open_bins, resolved = _node(bins, states, p)
-        if open_bins:
-            continue
-        valid += 1
-        for b, vec, d in resolved:
-            f = scale // d
-            row = acc[b]
-            for i in range(width):
-                row[i] += vec[i] * f
+    tally = Counter()
+    valid = 0
+    for left, right in product(*halves):
+        *_, open_bins, resolved = _merge(left, right, p)
+        if not open_bins:
+            valid += 1
+            tally.update(resolved)
+    sums = [[0] * (2 * (p + 1)) for _ in bins]
+    for (b, vec), n in tally.items():
+        sums[b] = [a + v * n for a, v in zip(sums[b], vec)]
     # bias = mean estimate over the valid allocations minus the true effect
-    total = scale * valid
-    entries = tuple(
-        LinearSymbolic(
-            tuple(Fraction(acc[b][i], total) for i in range(p + 1)),
-            tuple(Fraction(acc[b][i], total) for i in range(p + 1, width)),
-        )
-        - true_cate(b, p)
-        for b in range(nbins)
-    )
+    entries = tuple(_symbolic(sums[b], _scale(p) * valid) - true_cate(b, p) for b in bins)
     return BiasMatrix(p=p, valid_count=valid, entries=entries)
 
 

