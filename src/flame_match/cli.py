@@ -69,6 +69,8 @@ def cmd_match(args):
     if (args.holdout is None) == (args.holdout_frac is None):
         raise UsageError("exactly one of --holdout and --holdout-frac is required")
     covariates = tuple(c for c in (args.covariates or "").split(",") if c)
+    if args.covariates is not None and not covariates:
+        raise UsageError("--covariates must name at least one column")
     schema = DatasetSchema(args.treatment, args.outcome, covariates)
     if args.holdout is not None:
         matching = load_csv(args.input, schema)

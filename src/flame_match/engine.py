@@ -330,83 +330,95 @@ def subpopulation_report(run: MatchRun, by_covariate: int) -> dict:
     return report
 
 
-def _group_slices(lv: LevelRecord, values: list) -> list:
-    """``values``, one entry per member row of ``lv``, cut into one list per group."""
-    bounds = lv.table.offsets.tolist()
-    return [values[lo:hi] for lo, hi in zip(bounds, bounds[1:])]
+def _json_array(items, indent: int) -> str:
+    """Already-encoded ``items`` laid out as ``json.dumps(indent=2)`` lays out an array ``indent`` spaces in."""
+    pad = "\n" + " " * (indent + 2)
+    body = ("," + pad).join(items)
+    return f"[{pad}{body}\n{' ' * indent}]" if body else "[]"
 
 
-def matchrun_to_json_dict(run: MatchRun) -> dict:
-    """Full machine-readable run report."""
+def matchrun_to_json(run: MatchRun) -> str:
+    """Full machine-readable run report, laid out as ``json.dumps(indent=2)`` lays out its dict.
+
+    The small blocks go through ``json.dumps`` and are re-indented, each
+    group is written as one string, and the pieces are joined once, so no
+    Python object per unit outlives its level. Integer ids are written with
+    ``str``; other ids and every float go through ``json.dumps``, which keeps
+    ``repr``, ``NaN`` and ``Infinity``.
+    """
     try:
         ate = estimate_ate(run)
     except NoEstimateError:
         ate = None
-    cfg = asdict(run.config)
-    return {
-        "config": cfg,
-        "covariates": list(run.covariate_names),
-        "dropped_order": [run.covariate_names[j] for j in run.dropped_order],
-        "levels": [
-            {
-                "level": lv.level,
-                "active": [run.covariate_names[a] for a in lv.active],
-                "pe": lv.quality.pe,
-                "bf": lv.quality.bf,
-                "mq": lv.quality.mq,
-                "groups": [
-                    {
-                        "signature": sig,
-                        "unit_ids": uids,
-                        "n_treated": n_t,
-                        "n_control": n_c,
-                        "cate": cate,
-                        "variance_upper_bound": vub,
-                    }
-                    for sig, uids, n_t, n_c, cate, vub in zip(
-                        lv.table.signatures.tolist(),
-                        _group_slices(lv, run.unit_ids[lv.table.rows].tolist()),
-                        lv.table.n_treated.tolist(),
-                        lv.table.n_control.tolist(),
-                        lv.cate.tolist(),
-                        lv.variance_upper_bound.tolist(),
-                    )
-                ],
-            }
-            for lv in run.levels
-        ],
-        "ate": ate,
-        "stop_reason": run.stop_reason.value,
-        "n_units": run.n_units,
-        "n_matched": run.n_matched,
-        "unmatched_unit_ids": run.unmatched_unit_ids.tolist(),
-    }
-
-
-def matchrun_to_json(run: MatchRun) -> str:
-    return json.dumps(matchrun_to_json_dict(run), indent=2)
+    names = run.covariate_names
+    encode_id = str if np.issubdtype(run.unit_ids.dtype, np.integer) else json.dumps
+    head = {"config": asdict(run.config), "covariates": list(names), "dropped_order": [names[j] for j in run.dropped_order]}
+    # the head's closing brace gives way to the levels
+    pieces = [json.dumps(head, indent=2)[:-2], ',\n  "levels": ', "[" if run.levels else "[]"]
+    for i, lv in enumerate(run.levels):
+        t = lv.table
+        active = json.dumps([names[a] for a in lv.active], indent=2).replace("\n", "\n      ")
+        pe, bf, mq = map(json.dumps, (lv.quality.pe, lv.quality.bf, lv.quality.mq))
+        pieces.append(
+            ("," if i else "")
+            + f'\n    {{\n      "level": {lv.level},\n      "active": {active},\n'
+            + f'      "pe": {pe},\n      "bf": {bf},\n      "mq": {mq},\n      "groups": '
+            + ("[" if len(t) else "[]")
+        )
+        ids = run.unit_ids[t.rows].tolist()
+        bounds = t.offsets.tolist()
+        groups = zip(
+            t.signatures.tolist(),
+            bounds,
+            bounds[1:],
+            t.n_treated.tolist(),
+            t.n_control.tolist(),
+            lv.cate.tolist(),
+            lv.variance_upper_bound.tolist(),
+        )
+        for g, (sig, lo, hi, n_t, n_c, cate, vub) in enumerate(groups):
+            pieces.append(
+                ("," if g else "")
+                + f'\n        {{\n          "signature": {_json_array(map(str, sig), 10)},\n'
+                + f'          "unit_ids": {_json_array(map(encode_id, ids[lo:hi]), 10)},\n'
+                + f'          "n_treated": {n_t},\n          "n_control": {n_c},\n'
+                + f'          "cate": {json.dumps(cate)},\n          "variance_upper_bound": {json.dumps(vub)}\n        }}'
+            )
+        pieces.append("\n      ]\n    }" if len(t) else "\n    }")
+    pieces.append(
+        ("\n  ]" if run.levels else "")
+        + f',\n  "ate": {json.dumps(ate)},\n  "stop_reason": {json.dumps(run.stop_reason.value)},\n'
+        + f'  "n_units": {run.n_units},\n  "n_matched": {run.n_matched},\n  "unmatched_unit_ids": '
+    )
+    pieces += [_json_array(map(encode_id, run.unmatched_unit_ids.tolist()), 2), "\n}"]
+    return "".join(pieces)
 
 
 def matchrun_units_csv(run: MatchRun) -> str:
     """Per-unit assignments: unit_id, level, group signature, cate.
 
     Each unit appears once, under the first group it was matched into (the
-    only group, when matching without replacement).
+    only group, when matching without replacement). A group's kept units are
+    written as one string: their ids, each followed by the group's line end.
     """
-    lines = ["unit_id,level,signature,cate"]
+    pieces = ["unit_id,level,signature,cate\n"]
     if not run.levels:
-        return lines[0] + "\n"
+        return pieces[0]
     # one entry per group membership, in level, group and member order
     rows = np.concatenate([lv.table.rows for lv in run.levels])
-    suffixes = [
-        f",{lv.level},{'|'.join(map(str, sig))},{cate!r}"
-        for lv in run.levels
-        for sig, cate in zip(lv.table.signatures.tolist(), lv.cate.tolist())
-    ]
-    group_of = np.repeat(np.arange(len(suffixes)), np.concatenate([lv.table.sizes for lv in run.levels]))
     first = np.sort(np.unique(rows, return_index=True)[1])
-    lines += [f"{uid}{suffixes[g]}" for uid, g in zip(run.unit_ids[rows[first]].tolist(), group_of[first].tolist())]
-    return "\n".join(lines) + "\n"
+    # group g's kept units are ids[cuts[g]:cuts[g + 1]], its first memberships
+    sizes = np.concatenate([lv.table.sizes for lv in run.levels])
+    cuts = np.searchsorted(first, np.concatenate([[0], np.cumsum(sizes)])).tolist()
+    ids = run.unit_ids[rows[first]]
+    del rows, first, sizes  # free the membership arrays before the text is built
+    spans = zip(cuts, cuts[1:])  # one iterator, consumed group by group across the levels
+    for lv in run.levels:
+        for sig, cate, (lo, hi) in zip(lv.table.signatures.tolist(), lv.cate.tolist(), spans):
+            if hi > lo:
+                line_end = f",{lv.level},{'|'.join(map(str, sig))},{cate!r}\n"
+                pieces.append(line_end.join(map(str, ids[lo:hi].tolist())) + line_end)
+    return "".join(pieces)
 
 
 def matchrun_levels_csv(run: MatchRun) -> str:

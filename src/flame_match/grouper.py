@@ -334,14 +334,19 @@ def emit_sql(covariates, level: int, table_name: str = "D") -> str:
 
     The HAVING clause keeps exactly the groups with at least one treated and
     at least one control member; matched units get ``is_matched = level``.
-    Covariates may not be named ``T`` or ``is_matched``, the table's
-    treatment and stamp columns, and the table may not be named ``S`` or
-    ``tempgroups``, the template's own alias and CTE. Text emission only;
-    nothing here talks to a database.
+    Covariates may not repeat (in any case) nor be named ``T`` or
+    ``is_matched``, the table's treatment and stamp columns, and the table
+    may not be named ``S`` or ``tempgroups``, the template's own alias and
+    CTE. Text emission only; nothing here talks to a database.
     """
     names = [_check_identifier(c, ("t", "is_matched")) for c in covariates]
     if not names:
         raise ValueError("need at least one covariate name")
+    folded = [c.lower() for c in names]
+    for k, c in enumerate(names):
+        # SQLite resolves unquoted identifiers without regard to case
+        if folded[k] in folded[:k]:
+            raise ValueError(f"covariate {c!r} is listed more than once (identifiers ignore case)")
     if int(level) != level or level < 1:
         raise ValueError(f"level must be an integer >= 1, got {level}")
     _check_identifier(table_name, ("s", "tempgroups"))

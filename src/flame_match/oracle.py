@@ -60,9 +60,19 @@ def bin_bits(bin_index: int, p: int) -> tuple[int, ...]:
 
 def true_cate(bin_index: int, p: int) -> LinearSymbolic:
     """Model treatment effect in a bin: b_0 plus b_j for every set bit."""
+    p = _check_p(p)
     _check_bin(bin_index, p)
     beta = [Fraction(1)] + [Fraction(bit) for bit in bin_bits(bin_index, p)]
     return LinearSymbolic((Fraction(0),) * (p + 1), tuple(beta))
+
+
+def _check_p(p, most: int | None = None) -> int:
+    """``p`` as an int: a covariate count (no bool) of at least 1, and of at most ``most`` when given."""
+    n = None if isinstance(p, bool) or not hasattr(p, "__index__") else operator.index(p)
+    if n is None or n < 1 or (most is not None and n > most):
+        wanted = "an integer >= 1" if most is None else f"{', '.join(map(str, range(1, most)))} or {most}"
+        raise ValueError(f"p must be {wanted}, got {p!r}")
+    return n
 
 
 def _check_bin(bin_index: int, p: int):
@@ -125,6 +135,7 @@ _subtree = cache(_node)
 
 def oracle_flame(allocation, p: int):
     """Per-bin effect estimates for one allocation, or None when invalid."""
+    p = _check_p(p)
     states = tuple(BinState(s) for s in allocation)
     if len(states) != (1 << p):
         raise ValueError(f"allocation must cover {1 << p} bins, got {len(states)}")
@@ -149,8 +160,7 @@ def bias_matrix(p: int) -> BiasMatrix:
     merged at the root, and the pairs that leave an estimate in every bin are
     valid. p = 4 would take ~4.3e9 root merges, so p is limited to 1, 2 or 3.
     """
-    if isinstance(p, bool) or not hasattr(p, "__index__") or (p := operator.index(p)) not in (1, 2, 3):
-        raise ValueError(f"p must be 1, 2 or 3, got {p}")
+    p = _check_p(p, most=3)
     bins = tuple(range(1 << p))
     halves = [[_subtree(bins[k::2], s, p) for s in product(tuple(BinState), repeat=len(bins) // 2)] for k in (0, 1)]
     # the sums are exact, so the order in which allocations arrive is immaterial

@@ -111,6 +111,27 @@ def test_match_repeated_covariate_is_data_error(covariates, tmp_path, capsys, wr
     assert not out_path.exists()
 
 
+@pytest.mark.parametrize("covariates", ["", ",,"])
+def test_match_covariates_naming_no_column_is_usage_error(covariates, tmp_path, capsys, write_csv):
+    # an empty --covariates once ran on every column; sql-emit rejects it alike
+    rows = [[i % 2, (i // 2) % 2, i % 2, float(i)] for i in range(40)]
+    path = write_csv("none.csv", ["a", "b", "T", "Y"], rows)
+    out_path = tmp_path / "run.json"
+    code, out, err = run_cli(
+        capsys,
+        "match",
+        "--input", path,
+        "--holdout-frac", "0.25",
+        "--treatment", "T",
+        "--outcome", "Y",
+        "--covariates", covariates,
+        "--output", str(out_path),
+    )
+    assert code == EXIT_USAGE and out == ""
+    assert err == "usage error: --covariates must name at least one column\n"
+    assert not out_path.exists()
+
+
 def test_match_deterministic_reports(tmp_path, capsys, write_csv):
     rows = [[i % 2, (i // 2) % 2, i % 2 ^ (i % 3 == 0), float(i)] for i in range(40)]
     path = write_csv("d.csv", ["a", "b", "T", "Y"], rows)
@@ -233,7 +254,10 @@ def test_sql_emit_empty_covariates(capsys):
     assert len(err.strip().splitlines()) == 1
 
 
-@pytest.mark.parametrize("flag, value", [("--covariates", "a--"), ("--covariates", "T"), ("--table", "S")])
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--covariates", "a--"), ("--covariates", "T"), ("--table", "S"), ("--covariates", "a,a"), ("--covariates", "A,b,a")],
+)
 def test_sql_emit_bad_identifier_is_usage_error(flag, value, capsys):
     args = {"--covariates": "A", "--table": "D", flag: value}
     code, out, err = run_cli(capsys, "sql-emit", "--level", "1", *(x for kv in args.items() for x in kv))

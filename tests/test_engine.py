@@ -16,7 +16,6 @@ from flame_match.engine import (
     estimate_ate,
     matchrun_levels_csv,
     matchrun_to_json,
-    matchrun_to_json_dict,
     matchrun_units_csv,
     run_flame,
     subpopulation_report,
@@ -26,6 +25,7 @@ from flame_match.grouper import GroupTable
 from flame_match.quality import match_quality
 from flame_match.synth import SynthSpec, generate
 from reference_flame import variance_upper_bound
+from reference_report import matchrun_to_json_dict
 
 
 def _dataset(covs, treatment, outcome, ids=None):

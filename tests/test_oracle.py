@@ -198,3 +198,16 @@ def test_bin_and_arm_arguments_checked():
     for bad in (-1, 4):
         with pytest.raises(ValueError, match="out of range for p=2"):
             true_cate(bad, 2)
+
+
+def test_p_checked_like_bias_matrix():
+    # a bool is not a covariate count, a float is not an integer, and p >= 1;
+    # each once ran as p = 1, raised TypeError, or gave a p = 0 symbol
+    for bad in (True, False, 1.0, 2.0, 0, -1, "2", None, np.True_, np.float64(2.0)):
+        with pytest.raises(ValueError, match="p must be an integer >= 1"):
+            oracle_flame([B, B], bad)
+        with pytest.raises(ValueError, match="p must be an integer >= 1"):
+            true_cate(0, bad)
+    # an integer-like p is stored as int, as bias_matrix stores it
+    assert true_cate(1, np.int64(2)) == true_cate(1, 2)
+    assert oracle_flame([B, B], np.int64(1)) == oracle_flame([B, B], 1)
