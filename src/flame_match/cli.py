@@ -32,7 +32,8 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
-def _atomic_write(path: str, text: str):
+def _atomic_write(path: str, *pieces: str):
+    """Write ``pieces`` to a temp file renamed onto ``path``, encoding 2**20 characters at a time, never a whole report."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     # mkstemp makes the file owner-only; give it the mode open(path, "w") would
@@ -41,7 +42,9 @@ def _atomic_write(path: str, text: str):
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            fh.write(text)
+            for piece in pieces:
+                for start in range(0, len(piece), 1 << 20):
+                    fh.write(piece[start : start + (1 << 20)])
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -93,7 +96,7 @@ def cmd_match(args):
     run = run_flame(matching, holdout, config)
     if args.format == "json":
         written = [args.output]
-        _atomic_write(args.output, matchrun_to_json(run) + "\n")
+        _atomic_write(args.output, matchrun_to_json(run), "\n")
     else:
         base = _split_base(args.output)
         written = [f"{base}.units.csv", f"{base}.levels.csv"]
@@ -118,7 +121,7 @@ def cmd_oracle_bias(args):
     bm = bias_matrix(args.p)
     print(format_bias_table(bm))
     if args.output:
-        _atomic_write(args.output, bias_matrix_to_json(bm) + "\n")
+        _atomic_write(args.output, bias_matrix_to_json(bm), "\n")
         print(f"wrote {args.output}")
 
 
@@ -177,7 +180,7 @@ def build_parser() -> argparse.ArgumentParser:
     m.set_defaults(func=cmd_match)
 
     o = sub.add_parser("oracle-bias", help="exact bias matrix of the idealized drop-order matcher")
-    o.add_argument("--p", type=int, required=True, choices=[1, 2, 3])
+    o.add_argument("--p", type=int, required=True, help="number of covariates")
     o.add_argument("--output")
     o.set_defaults(func=cmd_oracle_bias)
 

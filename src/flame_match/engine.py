@@ -242,18 +242,17 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
         pool_unmatched = unmatched[pool]
         # one prefix/suffix rank build serves every trial drop of this level
         ranks = drop_one_ranks(matching, pool, active)
-        best = None  # (mq, j, pe); ties keep the lowest covariate index
+        quality = best_j = None  # the winner's; ties keep the lowest covariate index
         for j in active:
             cand = tuple(a for a in active if a != j)
-            newly = match_flags(matching, pool, cand, ranks=ranks) & pool_unmatched
+            newly = match_flags(matching, pool, j, ranks) & pool_unmatched
             new_t = int(np.count_nonzero(newly & pool_treated))
             bf_j = balancing_factor(int(np.count_nonzero(newly)) - new_t, avail_c, new_t, avail_t)
-            pe_j = prediction_error(holdout, cand)
-            mq_j = config.c_param * bf_j - pe_j
-            if best is None or mq_j > best[0]:
-                best = (mq_j, j, pe_j)
+            q_j = match_quality(prediction_error(holdout, cand), bf_j, config.c_param)
+            if quality is None or q_j.mq > quality.mq:
+                quality, best_j = q_j, j
 
-        best_mq, best_j, pe = best
+        pe = quality.pe
         del ranks  # free the rank blocks before the commit allocates its own arrays
         if config.stop_on_pe_blowup:
             if config.pe_blowup_mode == "relative":
@@ -265,7 +264,7 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
                 break
         if config.mq_drop_threshold is not None:
             thr = config.mq_drop_threshold
-            if best_mq < thr and any(lv.quality.mq >= thr for lv in levels):
+            if quality.mq < thr and any(lv.quality.mq >= thr for lv in levels):
                 stop = StopReason.MQ_DROP
                 break
         if config.max_levels is not None and len(levels) >= config.max_levels:
@@ -402,19 +401,16 @@ def matchrun_units_csv(run: MatchRun) -> str:
     written as one string: their ids, each followed by the group's line end.
     """
     pieces = ["unit_id,level,signature,cate\n"]
-    if not run.levels:
-        return pieces[0]
-    # one entry per group membership, in level, group and member order
-    rows = np.concatenate([lv.table.rows for lv in run.levels])
-    first = np.sort(np.unique(rows, return_index=True)[1])
-    # group g's kept units are ids[cuts[g]:cuts[g + 1]], its first memberships
-    sizes = np.concatenate([lv.table.sizes for lv in run.levels])
-    cuts = np.searchsorted(first, np.concatenate([[0], np.cumsum(sizes)])).tolist()
-    ids = run.unit_ids[rows[first]]
-    del rows, first, sizes  # free the membership arrays before the text is built
-    spans = zip(cuts, cuts[1:])  # one iterator, consumed group by group across the levels
+    seen = np.zeros(run.n_units, dtype=bool)
     for lv in run.levels:
-        for sig, cate, (lo, hi) in zip(lv.table.signatures.tolist(), lv.cate.tolist(), spans):
+        rows = lv.table.rows
+        # a level's groups are disjoint, so its first matches are the rows no earlier level holds
+        first = ~seen[rows]
+        seen[rows] = True
+        ids = run.unit_ids[rows[first]]
+        # group g's kept units are ids[cuts[g]:cuts[g + 1]]
+        cuts = np.concatenate(([0], np.cumsum(first)))[lv.table.offsets].tolist()
+        for sig, cate, lo, hi in zip(lv.table.signatures.tolist(), lv.cate.tolist(), cuts, cuts[1:]):
             if hi > lo:
                 line_end = f",{lv.level},{'|'.join(map(str, sig))},{cate!r}\n"
                 pieces.append(line_end.join(map(str, ids[lo:hi].tolist())) + line_end)

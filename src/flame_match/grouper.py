@@ -116,12 +116,12 @@ def count_and_flag(keys: UnitKeys, considered=None) -> tuple[np.ndarray, UnitKey
 
 
 def _renumber(ids: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
-    """Map ids in ``[0, bound)`` onto ``0..k-1`` (k distinct values), keeping their order."""
+    """Map ids in ``[0, bound)``, ``bound >= 1``, onto ``0..k-1`` (k distinct values), keeping their order."""
     if bound <= max(8 * ids.size, 1 << 16):
         seen = np.zeros(bound, dtype=bool)
         seen[ids] = True
         rank = np.cumsum(seen) - 1
-        return rank[ids], int(rank[-1]) + 1 if bound else 0
+        return rank[ids], int(rank[-1]) + 1
     uniq, inverse = np.unique(ids, return_inverse=True)
     return inverse.astype(np.int64, copy=False), uniq.size
 
@@ -146,7 +146,7 @@ class DropOneRanks:
     ``prefix[k]`` numbers each row's codes on ``active[:k]`` and ``suffix[k]``
     on ``active[k:]``, both ordered like the codes; ``prefix_bounds[k]`` and
     ``suffix_bounds[k]`` bound them, at most ``max(n, 1)``. Dropping
-    ``active[j]`` leaves the signature ``(prefix[j], suffix[j + 1])``. Each
+    ``active[k]`` leaves the signature ``(prefix[k], suffix[k + 1])``. Each
     sweep is one contiguous ``(m + 1, n)`` block in the smallest unsigned
     dtype that holds ``n``: per-column arrays of this size fragment the heap
     between the run's long-lived objects and raise its peak RSS.
@@ -165,7 +165,7 @@ def drop_one_ranks(d: Dataset, considered, active) -> DropOneRanks:
     Built column by column with :func:`_pair_ids` from one ``(m, n)`` gather
     of the stored codes, in O(n) per covariate and sweep unless a step
     renumbers wide ids. Pass the result to :func:`match_flags` with the same
-    ``considered`` rows and ``active`` minus one covariate.
+    ``considered`` rows and the index of the covariate to drop.
     """
     considered = np.asarray(considered, dtype=np.int64)
     active = check_active(active, d.n_covariates)
@@ -182,22 +182,21 @@ def drop_one_ranks(d: Dataset, considered, active) -> DropOneRanks:
     return DropOneRanks(active, prefix, suffix, tuple(prefix_bounds), tuple(suffix_bounds))
 
 
-def _drop_one_ids(ranks: DropOneRanks, n_rows: int, active: tuple[int, ...]) -> tuple[np.ndarray, int]:
-    """Group ids and their bound for the rows ``ranks`` was built on, on ``active`` = ``ranks.active`` minus one."""
-    full = ranks.active
+def _drop_one_ids(ranks: DropOneRanks, n_rows: int, j: int) -> tuple[np.ndarray, int]:
+    """Group ids and their bound for the rows ``ranks`` was built on, once covariate ``j`` is dropped from ``ranks.active``."""
     if n_rows != ranks.prefix.shape[1]:
         raise ValueError(f"ranks were built on {ranks.prefix.shape[1]} rows, not {n_rows}")
-    j = next((k for k, (a, b) in enumerate(zip(active, full)) if a != b), len(active))
-    if len(active) + 1 != len(full) or active != full[:j] + full[j + 1 :]:
-        raise ValueError(f"active {active} is not {full} minus one covariate")
-    return _pair_ids(ranks.prefix[j], ranks.prefix_bounds[j], ranks.suffix[j + 1], ranks.suffix_bounds[j + 1])
+    if j not in ranks.active:
+        raise ValueError(f"covariate {j} is not among the ranked {ranks.active}")
+    k = ranks.active.index(j)
+    return _pair_ids(ranks.prefix[k], ranks.prefix_bounds[k], ranks.suffix[k + 1], ranks.suffix_bounds[k + 1])
 
 
 def _arm_counts(gid: np.ndarray, n_groups: int, treated_rows: np.ndarray):
-    """Per group: its size and its treated count."""
+    """Per group: its size, its treated count and whether it holds both arms."""
     sizes = np.bincount(gid, minlength=n_groups)
     treated = np.bincount(gid[treated_rows], minlength=n_groups)
-    return sizes, treated
+    return sizes, treated, (treated > 0) & (treated < sizes)
 
 
 @dataclass(frozen=True)
@@ -245,20 +244,17 @@ class MatchResult:
         return np.sort(self.table.rows)
 
 
-def match_flags(d: Dataset, considered, active, ranks: DropOneRanks) -> np.ndarray:
-    """Matched-or-not flag of each ``considered`` row on ``active``.
+def match_flags(d: Dataset, considered, j: int, ranks: DropOneRanks) -> np.ndarray:
+    """Matched-or-not flag of each ``considered`` row once covariate ``j`` is dropped from ``ranks.active``.
 
     Lighter than :func:`basic_exact_match`: no group table is built. Used for
     per-candidate trial scoring where only the balancing factor is needed.
     ``ranks`` comes from :func:`drop_one_ranks` on the same ``considered``
-    rows, ``active`` must be ``ranks.active`` minus one covariate, and the
-    group ids come from its prefix and suffix ranks.
+    rows, and the group ids come from its prefix and suffix ranks.
     """
-    considered = np.asarray(considered)
-    active = check_active(active, d.n_covariates)
-    gid, n_groups = _drop_one_ids(ranks, considered.size, active)
-    sizes, treated = _arm_counts(gid, n_groups, d.treatment[considered] == 1)
-    return ((treated > 0) & (treated < sizes))[gid]
+    gid, n_groups = _drop_one_ids(ranks, len(considered), j)
+    *_, valid = _arm_counts(gid, n_groups, d.treatment[considered] == 1)
+    return valid[gid]
 
 
 def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radix") -> MatchResult:
@@ -285,8 +281,7 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
         gid, n_groups = np.zeros(considered.size, dtype=np.int64), 1
         for k, a in enumerate(active):
             gid, n_groups = _pair_ids(gid, n_groups, codes[k], int(d.arities[a]))
-        sizes, treated = _arm_counts(gid, n_groups, d.treatment[considered] == 1)
-        valid = (treated > 0) & (treated < sizes)
+        sizes, treated, valid = _arm_counts(gid, n_groups, d.treatment[considered] == 1)
         flags = valid[gid]
         # a stable sort of the hit ids lists each group's rows in considered
         # order, and the groups themselves in signature order

@@ -181,7 +181,7 @@ def test_oracle_bias_p2(tmp_path, capsys):
     assert payload["valid_count"] == 59
 
 
-@pytest.mark.parametrize("p", ["4", "7"])
+@pytest.mark.parametrize("p", ["0", "4", "7"])
 def test_oracle_bias_bad_p(capsys, p):
     code, _, err = run_cli(capsys, "oracle-bias", "--p", p)
     assert code == EXIT_USAGE
@@ -387,6 +387,16 @@ def test_atomic_write_failure_leaves_target_untouched(tmp_path):
     with pytest.raises(UnicodeEncodeError):
         _atomic_write(str(target), "new \ud800")  # a lone surrogate has no UTF-8 form
     assert target.read_text() == "old"
+    assert os.listdir(tmp_path) == ["report.json"]
+
+
+@pytest.mark.parametrize("text", ["ascii", "é€𝔽"])
+def test_atomic_write_joins_its_pieces(tmp_path, text):
+    # the first piece spans several 1 MiB-character slices, each encoded on its own
+    pieces = [text * (3 * (1 << 20) // len(text) + 1), "\n", "", text]
+    target = tmp_path / "report.json"
+    _atomic_write(str(target), *pieces)
+    assert target.read_bytes() == "".join(pieces).encode("utf-8")
     assert os.listdir(tmp_path) == ["report.json"]
 
 

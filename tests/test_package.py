@@ -1,8 +1,14 @@
+import ast
 import importlib
+import inspect
+from pathlib import Path
 
 import pytest
 
 import flame_match
+from flame_match.grouper import match_flags
+
+PERFBENCH_CHILD = Path(__file__).resolve().parents[1] / "perfbench" / "child.py"
 
 PUBLIC_NAMES = [
     "BiasMatrix",
@@ -55,3 +61,30 @@ def test_unknown_attribute_raises():
     with pytest.raises(AttributeError, match="no_such_name"):
         flame_match.no_such_name
     assert not hasattr(flame_match, "grouper_backend")
+
+
+def _perfbench_wraps():
+    """``(module, attr)`` of every ``tracer.wrap(name, module, attr, ...)`` call in perfbench's child."""
+    tree = ast.parse(PERFBENCH_CHILD.read_text(encoding="utf-8"))
+    loops = [node for node in ast.walk(tree) if isinstance(node, ast.For) and isinstance(node.target, ast.Name)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "wrap":
+            module, attr = node.args[1], node.args[2]
+            if isinstance(attr, ast.Name):
+                # a name bound by a loop over literal attribute names
+                (loop,) = [lp for lp in loops if lp.target.id == attr.id]
+                attrs = ast.literal_eval(loop.iter)
+            else:
+                attrs = [ast.literal_eval(attr)]
+            for a in attrs:
+                yield ast.literal_eval(module), a
+
+
+def test_perfbench_rebinds_callables_that_exist():
+    # perfbench times each layer by rebinding these names; a renamed one drops its metrics
+    wraps = list(_perfbench_wraps())
+    assert ("flame_match.engine", "match_flags") in wraps and len(wraps) >= 9
+    for module, attr in wraps:
+        assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
+    # its trial-row count reads match_flags' second positional argument
+    assert list(inspect.signature(match_flags).parameters)[1] == "considered"

@@ -15,7 +15,9 @@ import numpy as np
 import pytest
 
 from flame_match.dataset import Dataset, DatasetSchema, load_csv, split_holdout
-from flame_match.engine import FlameConfig, matchrun_to_json, matchrun_units_csv, run_flame
+from flame_match.engine import FlameConfig, LevelRecord, MatchRun, StopReason, matchrun_to_json, matchrun_units_csv, run_flame
+from flame_match.grouper import GroupTable
+from flame_match.quality import match_quality
 from flame_match.synth import SynthSpec, generate
 from reference_report import matchrun_to_json_dict
 from reference_report import matchrun_units_csv as reference_units_csv
@@ -85,6 +87,32 @@ def test_levels_without_groups(replacement):
     holdout = Dataset(holdout.covariates[:, :3] % 2, [2, 2, 2], holdout.treatment, holdout.outcome, ("a", "b", "c"), holdout.unit_ids)
     run = run_flame(matching, holdout, FlameConfig(replacement=replacement, stop_on_pe_blowup=False))
     assert len(run.levels) == 3 and not any(len(lv.table) for lv in run.levels)
+    assert_reports_match(run)
+
+
+def _level(level, active, groups, cates):
+    """A hand-built level whose groups hold the given member rows; even rows are treated."""
+    rows = np.array([r for g in groups for r in g], dtype=np.int64)
+    sizes = np.array([len(g) for g in groups])
+    n_treated = np.array([sum(r % 2 == 0 for r in g) for g in groups])
+    signatures = np.array([[k] * len(active) for k in range(len(groups))], dtype=np.int64)
+    table = GroupTable(active, signatures, np.concatenate(([0], np.cumsum(sizes))), rows, n_treated, sizes - n_treated)
+    return LevelRecord(level, active, match_quality(1.0, 0.5, 0.1), table, np.array(cates), np.zeros(len(groups)))
+
+
+def test_rows_recurring_in_three_levels():
+    # with replacement rows 0 and 1 sit in a group at every level; level 2's
+    # first group and level 3's second hold no first match and write no line
+    levels = (
+        _level(1, (0, 1, 2), [[0, 1]], [0.5]),
+        _level(2, (0, 1), [[0, 1], [2, 3]], [-1.0, 2.0]),
+        _level(3, (0,), [[0, 1, 4], [2, 3]], [0.25, 3.0]),
+    )
+    ids = np.arange(10, 16)
+    run = MatchRun(FlameConfig(replacement=True), ("a", "b", "c"), (2, 1), levels, StopReason.NO_COVARIATES_LEFT, ids, ids[5:])
+    assert matchrun_units_csv(run) == (
+        "unit_id,level,signature,cate\n10,1,0|0|0,0.5\n11,1,0|0|0,0.5\n12,2,1|1,2.0\n13,2,1|1,2.0\n14,3,0,0.25\n"
+    )
     assert_reports_match(run)
 
 
