@@ -8,10 +8,8 @@ immutable after construction and safe to share across threads.
 from __future__ import annotations
 
 import csv
-import io
 import math
 from dataclasses import dataclass, replace
-from functools import partial
 from itertools import islice
 
 import numpy as np
@@ -182,22 +180,18 @@ def load_csv(path, schema: DatasetSchema, encodings: dict[str, list[str]] | None
     raises :class:`DataError`, and a list that names a category twice (after
     stripping) raises :class:`SchemaError`.
 
-    Rows are encoded column by column, a few thousand at a time, into arrays
-    sized once from a count of the file's line ends, so the cells of the whole
-    file are never held as strings at once.
+    Rows are read once and encoded column by column, a few thousand at a
+    time, so the cells of the whole file are never held as strings at once;
+    a pipe streams like a file.
     """
-    with open(path, "rb") as fh:
-        raw = fh if fh.seekable() else io.BytesIO(fh.read())  # a pipe is read whole so it can be read twice
-        # every data row ends the line before it, so the line ends bound the row count
-        bound = sum(b.count(b"\n") + b.count(b"\r") for b in iter(partial(raw.read, 1 << 20), b""))
-        raw.seek(0)
-        reader = csv.reader(io.TextIOWrapper(raw, encoding="utf-8-sig", newline=""))
+    with open(path, encoding="utf-8-sig", newline="") as fh:
+        reader = csv.reader(fh)
         try:
             header = next(reader)
         except StopIteration:
             raise DataError(f"{path}: file is empty (no header row)") from None
         try:
-            return _encode(reader, _columns(path, [h.strip() for h in header], schema, encodings), bound)
+            return _encode(reader, _columns(path, [h.strip() for h in header], schema, encodings))
         except FlameError:
             # a CSV or decoding fault anywhere in the file takes precedence
             # over a schema or row fault, however early that one is
@@ -243,50 +237,51 @@ def _columns(path, header: list[str], schema: DatasetSchema, encodings: dict[str
     )
 
 
-def _encode(reader, cols: _Columns, bound: int) -> Dataset:
-    # untouched tail pages of these buffers cost no memory; the codes are column-major, so each
-    # chunk writes contiguous runs, and the Dataset narrows their rows [:n] into its own store
-    codes = np.empty((bound, len(cols.names)), dtype=np.int64, order="F")
-    treatment = np.empty(bound, dtype=np.int64)
-    outcome = np.empty(bound, dtype=np.float64)
+def _encode(reader, cols: _Columns) -> Dataset:
+    # an empty part gives a file without data rows its arrays; each chunk's codes are a (p, k) block,
+    # so the joined (p, n) codes transpose into the column-major store the Dataset keeps as it is
+    parts = [(np.empty(0, np.int64), np.empty(0), np.empty((len(cols.names), 0), np.uint8))]
     n = 0
     while chunk := list(islice(reader, _CHUNK_ROWS)):
-        if not _encode_chunk(chunk, cols, codes[n:], treatment[n:], outcome[n:]):
+        if (part := _encode_chunk(chunk, cols)) is None:
             errors = (_row_error(r, row, cols) for r, row in enumerate(chunk, start=n + 1))
             raise next(err for err in errors if err is not None)
+        parts.append(part)
         n += len(chunk)
+    treatment, outcome, codes = (np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
+    del parts  # before the Dataset's checks allocate, so that ingest peaks at the parts and their join
 
     return Dataset(
-        covariates=codes[:n],
+        covariates=codes.T,
         arities=[len(m) for m in cols.code_maps],
-        treatment=treatment[:n],
-        outcome=outcome[:n],
+        treatment=treatment,
+        outcome=outcome,
         covariate_names=cols.names,
         unit_ids=np.arange(n, dtype=np.int64),
         encodings=tuple(tuple(m) for m in cols.code_maps),
     )
 
 
-def _encode_chunk(chunk: list[list[str]], cols: _Columns, codes, treatment, outcome) -> bool:
-    """Write ``chunk``'s rows to the heads of the arrays; False, with the arrays partly written, if any row is faulty."""
+def _encode_chunk(chunk: list[list[str]], cols: _Columns) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
+    """``chunk``'s treatments, outcomes and ``(p, k)`` codes, narrowed to the category counts so far; None if a row is faulty."""
     k = len(chunk)
     if min(map(len, chunk)) <= max(cols.used):
-        return False
+        return None
     by_column = list(zip(*chunk))
-    if (t := _column_codes(by_column[cols.t_idx], _TREATMENT, grow=False)) is None:
-        return False
-    treatment[:k] = t
+    if (treatment := _column_codes(by_column[cols.t_idx], _TREATMENT, grow=False)) is None:
+        return None
     try:
-        outcome[:k] = np.fromiter(map(float, by_column[cols.y_idx]), np.float64, count=k)
+        outcome = np.fromiter(map(float, by_column[cols.y_idx]), np.float64, count=k)
     except ValueError:
-        return False
-    if not np.isfinite(outcome[:k]).all():
-        return False
-    for j, (idx, cmap) in enumerate(zip(cols.cov_idx, cols.code_maps)):
+        return None
+    if not np.isfinite(outcome).all():
+        return None
+    codes = []
+    for idx, cmap in zip(cols.cov_idx, cols.code_maps):
         if (c := _column_codes(by_column[idx], cmap, grow=not cols.frozen)) is None:
-            return False
-        codes[:k, j] = c
-    return True
+            return None
+        codes.append(c)
+    return treatment, outcome, np.array(codes, np.min_scalar_type(max(map(len, cols.code_maps))))
 
 
 def _column_codes(col: tuple[str, ...], cmap: dict[str, int], grow: bool) -> np.ndarray | None:

@@ -418,7 +418,10 @@ def matchrun_units_csv(run: MatchRun) -> str:
 
 
 def matchrun_levels_csv(run: MatchRun) -> str:
-    """Per-level quality series (plot-ready): level, n_active, pe, bf, mq, groups, new matches."""
+    """Per-level quality series (plot-ready): level, n_active, pe, bf, mq, groups, and the members of the kept groups.
+
+    With replacement, ``n_matched`` counts units matched at an earlier level again.
+    """
     lines = ["level,n_active,pe,bf,mq,n_groups,n_matched"]
     for lv in run.levels:
         lines.append(

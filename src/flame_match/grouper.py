@@ -118,10 +118,11 @@ def count_and_flag(keys: UnitKeys, considered=None) -> tuple[np.ndarray, UnitKey
 def _renumber(ids: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
     """Map ids in ``[0, bound)``, ``bound >= 1``, onto ``0..k-1`` (k distinct values), keeping their order."""
     if bound <= max(8 * ids.size, 1 << 16):
-        seen = np.zeros(bound, dtype=bool)
-        seen[ids] = True
-        rank = np.cumsum(seen) - 1
-        return rank[ids], int(rank[-1]) + 1
+        # a tally in place, in the narrowest dtype that holds the count: bound-sized int64 temporaries cost page faults
+        rank = np.zeros(bound, np.min_scalar_type(ids.size))
+        rank[ids] = 1
+        np.cumsum(rank, dtype=rank.dtype, out=rank)
+        return np.subtract(rank[ids], 1, dtype=np.int64), int(rank[-1])
     uniq, inverse = np.unique(ids, return_inverse=True)
     return inverse.astype(np.int64, copy=False), uniq.size
 

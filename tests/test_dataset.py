@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -116,6 +118,31 @@ def test_byte_order_mark_skipped(tmp_path, text):
     assert np.array_equal(got.covariates, want.covariates)
     assert np.array_equal(got.treatment, want.treatment)
     assert np.array_equal(got.outcome, want.outcome)
+
+
+
+def test_load_csv_peak_is_near_the_dataset_it_returns(tmp_path):
+    # the chunks' code blocks and their join peak near 1.7x the dataset's arrays; an int64
+    # (rows x p) staging buffer next to the narrowed store alone reaches 4.6x on this file
+    n, p = 100_000, 20
+    rng = np.random.default_rng(0)
+    path = tmp_path / "binary.csv"
+    header = ",".join([*(f"x{k}" for k in range(p)), "T", "Y"])
+    cells = np.column_stack([rng.integers(0, 2, (n, p + 1)), rng.normal(size=n)])
+    np.savetxt(path, cells, fmt=["%d"] * (p + 1) + ["%.6f"], delimiter=",", header=header, comments="")
+    tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        d = load_csv(str(path), SCHEMA)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not tracing:
+            tracemalloc.stop()
+    assert d.n_units == n and d.covariates.dtype == np.uint8
+    kept = sum(a.nbytes for a in (d.covariates, d.arities, d.treatment, d.outcome, d.unit_ids))
+    assert peak <= 2.5 * kept, peak / kept
 
 
 TWO_UNITS = dict(

@@ -198,14 +198,27 @@ def test_covariates_are_f_contiguous_narrowest_dtype(tmp_path):
     assert d.covariates.shape == (10, 2)
 
 
-def test_pipe_loads(tmp_path):
-    data = b"a,T,Y\nx,1,2\ny,0,3\n"
-    r, w = os.pipe()
-    os.write(w, data)
-    os.close(w)
-    try:
-        d = load_csv(f"/dev/fd/{r}", SCHEMA)
-    finally:
-        os.close(r)
-    want = reference_load_csv(_write(tmp_path, data), SCHEMA)
-    assert d.covariates.tolist() == want.covariates.tolist() and d.outcome.tolist() == want.outcome.tolist()
+def test_pipe_loads(tmp_path, three_row_chunks):
+    # eight rows: a pipe is read once, in three chunks, like a file, and so is one whose last chunk is faulty
+    rows = [f"{'xyz'[i % 3]},{i % 2},{i}.5" for i in range(7)]
+    for last_row in ("z,1,8.5", "z,2,8.5"):
+        data = "\n".join(["a,T,Y", *rows, last_row, ""]).encode()
+        r, w = os.pipe()
+        os.write(w, data)
+        os.close(w)
+        try:
+            got = _load(load_csv, f"/dev/fd/{r}", SCHEMA, None)
+        finally:
+            os.close(r)
+        assert got == _load(reference_load_csv, _write(tmp_path, data), SCHEMA, None)
+
+
+@pytest.mark.parametrize("frozen", [False, True], ids=["grown", "frozen"])
+def test_category_count_past_255_widens_the_store(tmp_path, three_row_chunks, frozen):
+    # 300 categories in 100 three-row chunks: grown codes pass uint8 in chunk 86, a frozen encoding starts past it
+    rows = "".join(f"c{i},{i % 2},{i},{'uv'[i % 2]}\n" for i in range(300))
+    path = _write(tmp_path, b"a,T,Y,b\n" + rows.encode())
+    encodings = {"a": [f"c{i}" for i in reversed(range(300))], "b": ["v", "u"]} if frozen else None
+    _assert_same_load(path, SCHEMA, encodings)
+    d = load_csv(path, SCHEMA, encodings)
+    assert d.covariates.dtype == np.uint16 and d.covariates.flags.f_contiguous
