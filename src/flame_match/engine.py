@@ -6,6 +6,13 @@ factor of the trial match, prediction error of the reduced covariate set on
 the holdout), permanently drops the best-scoring covariate and commits its
 groups through the same routine as level 1. Stopping rules are evaluated in
 a fixed order so identical inputs always produce the identical run trace.
+
+A level's PEs go screen, contenders, exact winner: one
+:func:`~flame_match.quality.screen_drops` fit per arm estimates every
+candidate's PE with an error bound, only the contenders (candidates whose
+screened MQ lies within the screen's window of the best) get an exact
+:func:`prediction_error`, and the exact ``(mq, -j)`` maximum over them wins.
+When the bound is not far below the window, every candidate goes exact.
 """
 
 from __future__ import annotations
@@ -20,7 +27,7 @@ import numpy as np
 from .dataset import Dataset
 from .errors import DegenerateHoldoutError, NoEstimateError, SchemaError
 from .grouper import GroupTable, basic_exact_match, drop_one_ranks, match_flags
-from .quality import LevelQuality, balancing_factor, match_quality, prediction_error
+from .quality import LevelQuality, balancing_factor, match_quality, prediction_error, screen_drops
 
 
 class StopReason(str, Enum):
@@ -200,10 +207,15 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
 
     Every level commits the exact match of the pool (the unmatched units, or
     every unit with replacement) on its active covariates; level 1 has them
-    all. Before each later level, one :func:`drop_one_ranks` build scores
-    the drop of every active covariate with one :func:`match_flags` call.
-    The highest ``mq`` wins, the lowest covariate index on a tie; the
-    stopping rules are checked on the winner before its level is committed.
+    all. Before each later level, one :func:`drop_one_ranks` build gives the
+    BF of every active covariate's drop with one :func:`match_flags` call,
+    and one :func:`~flame_match.quality.screen_drops` fit per arm screens
+    their PEs. Only the contenders, whose screened MQ lies within the
+    screen's window of the best (all candidates when its error bound is not
+    far below that window), get an exact :func:`prediction_error`. The
+    highest exact ``mq`` among them wins, the lowest covariate index on a
+    tie, exactly as if every candidate had been fitted; the stopping rules
+    are checked on the winner before its level is committed.
     """
     config = config or FlameConfig()
     _validate_inputs(matching, holdout)
@@ -242,13 +254,16 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
         pool_unmatched = unmatched[pool]
         # one prefix/suffix rank build serves every trial drop of this level
         ranks = drop_one_ranks(matching, pool, active)
-        quality = best_j = None  # the winner's; ties keep the lowest covariate index
+        bf = []
         for j in active:
-            cand = tuple(a for a in active if a != j)
             newly = match_flags(matching, pool, j, ranks) & pool_unmatched
             new_t = int(np.count_nonzero(newly & pool_treated))
-            bf_j = balancing_factor(int(np.count_nonzero(newly)) - new_t, avail_c, new_t, avail_t)
-            q_j = match_quality(prediction_error(holdout, cand), bf_j, config.c_param)
+            bf.append(balancing_factor(int(np.count_nonzero(newly)) - new_t, avail_c, new_t, avail_t))
+        screen = screen_drops(holdout, active)
+        quality = best_j = None  # the winner's; ties keep the lowest covariate index
+        for k in screen.contenders(config.c_param * np.array(bf) - screen.pe).tolist():
+            j = active[k]
+            q_j = match_quality(prediction_error(holdout, active[:k] + active[k + 1 :]), bf[k], config.c_param)
             if quality is None or q_j.mq > quality.mq:
                 quality, best_j = q_j, j
 

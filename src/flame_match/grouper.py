@@ -12,7 +12,9 @@ identical columnar :class:`GroupTable`:
 
 :func:`match_flags`, which scores trial drops, takes each drop's group ids
 from the prefix and suffix ranks of one :func:`drop_one_ranks` build per
-level, and flags rows through the same per-group arm counts.
+level, and flags rows through the same per-group arm counts; where those ids
+would be renumbered by sorting, it first sets aside the rows that cannot
+match.
 
 :func:`mixed_radix_keys` and :func:`count_and_flag` keep the paper's
 positional-key formulation (a unit is matched iff its covariate-key count
@@ -115,9 +117,14 @@ def count_and_flag(keys: UnitKeys, considered=None) -> tuple[np.ndarray, UnitKey
     return flags, UnitKeys(b=keys.b, b_plus=keys.b_plus, c=c, c_plus=c_plus)
 
 
+def _sorts(bound: int, n: int) -> bool:
+    """Whether :func:`_renumber` sorts ``n`` ids below ``bound`` (a tally would be too wide)."""
+    return bound > max(8 * n, 1 << 16)
+
+
 def _renumber(ids: np.ndarray, bound: int) -> tuple[np.ndarray, int]:
     """Map ids in ``[0, bound)``, ``bound >= 1``, onto ``0..k-1`` (k distinct values), keeping their order."""
-    if bound <= max(8 * ids.size, 1 << 16):
+    if not _sorts(bound, ids.size):
         # a tally in place, in the narrowest dtype that holds the count: bound-sized int64 temporaries cost page faults
         rank = np.zeros(bound, np.min_scalar_type(ids.size))
         rank[ids] = 1
@@ -150,7 +157,8 @@ class DropOneRanks:
     ``active[k]`` leaves the signature ``(prefix[k], suffix[k + 1])``. Each
     sweep is one contiguous ``(m + 1, n)`` block in the smallest unsigned
     dtype that holds ``n``: per-column arrays of this size fragment the heap
-    between the run's long-lived objects and raise its peak RSS.
+    between the run's long-lived objects and raise its peak RSS. ``treated``
+    marks the treated rows, for every drop's arm counts.
     """
 
     active: tuple[int, ...]
@@ -158,6 +166,7 @@ class DropOneRanks:
     suffix: np.ndarray
     prefix_bounds: tuple[int, ...]
     suffix_bounds: tuple[int, ...]
+    treated: np.ndarray
 
 
 def drop_one_ranks(d: Dataset, considered, active) -> DropOneRanks:
@@ -180,17 +189,22 @@ def drop_one_ranks(d: Dataset, considered, active) -> DropOneRanks:
     for k in range(m - 1, -1, -1):
         h = int(d.arities[active[k]])
         suffix[k], suffix_bounds[k] = _pair_ids(codes[k], h, suffix[k + 1], suffix_bounds[k + 1])
-    return DropOneRanks(active, prefix, suffix, tuple(prefix_bounds), tuple(suffix_bounds))
+    treated = d.treatment[considered] == 1
+    return DropOneRanks(active, prefix, suffix, tuple(prefix_bounds), tuple(suffix_bounds), treated)
 
 
-def _drop_one_ids(ranks: DropOneRanks, n_rows: int, j: int) -> tuple[np.ndarray, int]:
-    """Group ids and their bound for the rows ``ranks`` was built on, once covariate ``j`` is dropped from ``ranks.active``."""
+def _drop_sides(ranks: DropOneRanks, n_rows: int, j: int) -> tuple[np.ndarray, int, np.ndarray, int]:
+    """The prefix ranks before covariate ``j`` and the suffix ranks after it, each with its bound.
+
+    Their pairs, through :func:`_pair_ids`, group the rows ``ranks`` was
+    built on as ``ranks.active`` without ``j`` does.
+    """
     if n_rows != ranks.prefix.shape[1]:
         raise ValueError(f"ranks were built on {ranks.prefix.shape[1]} rows, not {n_rows}")
     if j not in ranks.active:
         raise ValueError(f"covariate {j} is not among the ranked {ranks.active}")
     k = ranks.active.index(j)
-    return _pair_ids(ranks.prefix[k], ranks.prefix_bounds[k], ranks.suffix[k + 1], ranks.suffix_bounds[k + 1])
+    return ranks.prefix[k], ranks.prefix_bounds[k], ranks.suffix[k + 1], ranks.suffix_bounds[k + 1]
 
 
 def _arm_counts(gid: np.ndarray, n_groups: int, treated_rows: np.ndarray):
@@ -251,11 +265,25 @@ def match_flags(d: Dataset, considered, j: int, ranks: DropOneRanks) -> np.ndarr
     Lighter than :func:`basic_exact_match`: no group table is built. Used for
     per-candidate trial scoring where only the balancing factor is needed.
     ``ranks`` comes from :func:`drop_one_ranks` on the same ``considered``
-    rows, and the group ids come from its prefix and suffix ranks.
+    rows, and the group ids come from its prefix and suffix ranks; ``d``
+    itself is not read, since ``ranks`` carries the treated mask.
+
+    A drop whose pair ids would be renumbered by sorting first keeps only the
+    rows whose prefix group and suffix group each hold both arms: a
+    (prefix, suffix) group lies inside both, so no other row can match, and
+    the rows kept hold their pair groups whole.
     """
-    gid, n_groups = _drop_one_ids(ranks, len(considered), j)
-    *_, valid = _arm_counts(gid, n_groups, d.treatment[considered] == 1)
-    return valid[gid]
+    hi, n_hi, lo, n_lo = _drop_sides(ranks, len(considered), j)
+    treated = ranks.treated
+    rows = slice(None)
+    if _sorts(n_hi * n_lo, treated.size):
+        # np.take: indexing with the narrow rank dtype is several times slower
+        rows = np.take(_arm_counts(hi, n_hi, treated)[2], hi) & np.take(_arm_counts(lo, n_lo, treated)[2], lo)
+    gid, n_groups = _pair_ids(hi[rows], n_hi, lo[rows], n_lo)
+    *_, valid = _arm_counts(gid, n_groups, treated[rows])
+    flags = np.zeros(treated.size, dtype=bool)
+    flags[rows] = valid[gid]
+    return flags
 
 
 def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radix") -> MatchResult:

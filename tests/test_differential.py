@@ -1,12 +1,17 @@
 """run_flame against the independent dict-of-tuples loop in reference_flame.py."""
 
+import warnings
+
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flame_match.engine as engine
+import flame_match.grouper as grouper
 from conftest import first_match_levels, group_tuples, random_dataset
 from flame_match.dataset import Dataset
 from flame_match.engine import FlameConfig, run_flame
+from flame_match.quality import screen_drops
 from reference_flame import reference_flame
 
 
@@ -80,3 +85,139 @@ def test_mq_tie_drops_the_lowest_covariate_index():
     first = ref.scores[0]
     assert first[1] == first[2] > first[0]
     assert ref.dropped_order[0] == 1
+
+
+def _count_fits(monkeypatch):
+    """Count the engine's trial drops and its exact PE fits, and record the active sets it fits."""
+    counts = {"candidates": 0, "fits": 0, "fitted": []}
+    flags_of, pe_of = engine.match_flags, engine.prediction_error
+
+    def flags(*args):
+        counts["candidates"] += 1
+        return flags_of(*args)
+
+    def pe(holdout, active):
+        counts["fits"] += 1
+        counts["fitted"].append(tuple(active))
+        return pe_of(holdout, active)
+
+    monkeypatch.setattr(engine, "match_flags", flags)
+    monkeypatch.setattr(engine, "prediction_error", pe)
+    return counts
+
+
+def test_duplicate_columns_fit_every_candidate_exactly(monkeypatch):
+    # duplicate holdout columns leave each arm's Gram singular up to the
+    # ridge, so the screen's bound outgrows its window
+    rng = np.random.default_rng(9)
+    matching = _tie_dataset(rng, 60, lambda c0, c1: c0 ^ c1)
+    holdout = _tie_dataset(rng, 40, lambda c0, c1: np.arange(c0.size) % 2)
+    counts = _count_fits(monkeypatch)
+    # one scored level: once c1 is dropped, no duplicate is left
+    run = run_flame(matching, holdout, FlameConfig(stop_on_pe_blowup=False, max_levels=1))
+    assert run.stop_reason.value == "max_levels"
+    assert counts["candidates"] == 3 and counts["fits"] == counts["candidates"] + 1
+
+
+def test_covariate_constant_within_one_arm_fits_every_candidate_exactly(monkeypatch):
+    rng = np.random.default_rng(21)
+    matching = random_dataset(rng, n=300, p=5, max_arity=3)
+    holdout = _holdout_for(matching, rng, n=200)
+    covs = holdout.covariates.copy()
+    covs[holdout.treatment == 1, 2] = 1
+    flat = Dataset(covs, holdout.arities, holdout.treatment, holdout.outcome, holdout.covariate_names, holdout.unit_ids)
+    counts = _count_fits(monkeypatch)
+    ref = _check_against_reference(matching, flat, stop_on_pe_blowup=False, max_levels=1)
+    assert ref.stop_reason == "max_levels"
+    # one scored level on each backend, and the full set's PE on each
+    assert counts["candidates"] == 2 * 5 and counts["fits"] == counts["candidates"] + 2
+
+
+def test_holdout_arm_smaller_than_its_model_runs_without_warnings():
+    # 3 treated holdout units against 7 coefficients: the ridge alone keeps
+    # the treated Gram invertible, in the screen as in the exact fit
+    rng = np.random.default_rng(22)
+    matching = random_dataset(rng, n=200, p=6, max_arity=3)
+    holdout = _holdout_for(matching, rng, n=40)
+    keep = np.concatenate([np.flatnonzero(holdout.treatment == 0), np.flatnonzero(holdout.treatment == 1)[:3]])
+    small = holdout.take(keep)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _check_against_reference(matching, small, stop_on_pe_blowup=False)
+
+
+def _mirrored_holdout(rng, n):
+    """Units in pairs that swap c1 and c2, with one pair's outcomes a hair apart: dropping c1 or c2 scores nearly one PE."""
+    half = n // 2
+    c0, c3 = rng.integers(0, 8, size=half), rng.integers(0, 8, size=half)
+    a, b = rng.integers(0, 2, size=half), rng.integers(0, 2, size=half)
+    t = np.arange(half) % 2
+    y = 2.0 * c0 + 3.0 * c3 + t + rng.normal(0, 0.5, size=half)
+    y_mirror = y.copy()
+    y_mirror[np.flatnonzero(a != b)[0]] += 1e-9
+    both = lambda *cols: np.concatenate(cols)  # noqa: E731
+    return Dataset(
+        covariates=np.stack([both(c0, c0), both(a, b), both(b, a), both(c3, c3)], axis=1),
+        arities=np.array([8, 2, 2, 8]),
+        treatment=both(t, t),
+        outcome=both(y, y_mirror),
+        covariate_names=("c0", "c1", "c2", "c3"),
+        unit_ids=np.arange(2 * half),
+    )
+
+
+def test_near_tie_goes_exact_and_keeps_the_reference_winner(monkeypatch):
+    rng = np.random.default_rng(23)
+    n = 400
+    c0, c1, c3 = rng.integers(0, 8, size=n), rng.integers(0, 2, size=n), rng.integers(0, 8, size=n)
+    # c1 and c2 are the same matching column, so their drops have one BF;
+    # the mirrored holdout puts their PEs closer than the screen can resolve
+    matching = Dataset(
+        covariates=np.stack([c0, c1, c1, c3], axis=1),
+        arities=np.array([8, 2, 2, 8]),
+        treatment=rng.integers(0, 2, size=n),
+        outcome=rng.normal(size=n),
+        covariate_names=("c0", "c1", "c2", "c3"),
+        unit_ids=np.arange(n),
+    )
+    holdout = _mirrored_holdout(rng, 600)
+    gap = abs(engine.prediction_error(holdout, (0, 2, 3)) - engine.prediction_error(holdout, (0, 1, 3)))
+    assert 0 < gap < screen_drops(holdout, (0, 1, 2, 3)).bound
+    counts = _count_fits(monkeypatch)
+    ref = _check_against_reference(matching, holdout, stop_on_pe_blowup=False, max_levels=2)
+    assert ref.dropped_order[0] in (1, 2)
+    # both near-tied drops were fitted exactly, and not every candidate was
+    assert {(0, 2, 3), (0, 1, 3)} <= set(counts["fitted"])
+    assert counts["fits"] < counts["candidates"] + 2
+
+
+def test_sorting_renumber_run_matches_reference(monkeypatch):
+    # 3000 rows x 24 binary covariates: a mid-depth drop pairs a prefix and a
+    # suffix rank of thousands of values each, beyond max(8n, 2**16), so its
+    # pair ids are renumbered by sorting, after the rows whose prefix or
+    # suffix group is one-armed have been set aside
+    rng = np.random.default_rng(24)
+    matching = random_dataset(rng, n=3000, p=24, max_arity=2)
+    holdout = _holdout_for(matching, rng, n=400)
+    paired = []  # per trial drop: (pool rows, pair bound, rows paired)
+    trial_rows = []
+    flags_of, pair_ids = engine.match_flags, grouper._pair_ids
+
+    def flags(d, considered, j, ranks):
+        trial_rows.append(len(considered))
+        try:
+            return flags_of(d, considered, j, ranks)
+        finally:
+            trial_rows.pop()
+
+    def pairing(hi, n_hi, lo, n_lo):
+        if trial_rows:
+            paired.append((trial_rows[-1], n_hi * n_lo, hi.size))
+        return pair_ids(hi, n_hi, lo, n_lo)
+
+    monkeypatch.setattr(engine, "match_flags", flags)
+    monkeypatch.setattr(grouper, "_pair_ids", pairing)
+    ref = _check_against_reference(matching, holdout)
+    assert len(ref.dropped_order) >= 4
+    sorting = [(rows, kept) for rows, bound, kept in paired if grouper._sorts(bound, rows)]
+    assert sorting and any(kept < rows for rows, kept in sorting)

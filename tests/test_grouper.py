@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import flame_match.grouper as grouper
 from conftest import group_tuples, random_dataset
 from flame_match.dataset import Dataset, permute_covariates, sort_covariates_by_arity, split_holdout
 from flame_match.errors import DataError
 from flame_match.grouper import (
-    _drop_one_ids,
+    _drop_sides,
+    _pair_ids,
     basic_exact_match,
     count_and_flag,
     drop_one_ranks,
@@ -245,7 +247,7 @@ def test_drop_one_ids_partition_like_the_commit(seed):
     ranks = drop_one_ranks(d, considered, active)
     for j in active:
         cand = tuple(a for a in active if a != j)
-        gid, bound = _drop_one_ids(ranks, considered.size, j)
+        gid, bound = _pair_ids(*_drop_sides(ranks, considered.size, j))
         assert gid.dtype == np.int64 and bound <= max(considered.size, 1) and np.all(gid < bound)
         sigs = d.covariates[considered][:, list(cand)]
         groups = [np.flatnonzero(gid == g) for g in np.unique(gid)]  # in id order
@@ -317,10 +319,11 @@ def test_compact_code_block_arity_boundaries(arity):
     assert len(basic_exact_match(d, considered, (1, 3)).table) > 0
 
 
-def test_drop_one_ranks_wide_keys_take_the_sorting_renumber():
+def test_drop_one_ranks_wide_keys_take_the_sorting_renumber(monkeypatch):
     # 12 arity-50 covariates over 400 rows: prefix and suffix ranks each reach
     # ~400 distinct values, so a drop's pair key spans ~160000 > max(8n, 2**16)
-    # and is renumbered by np.unique rather than by the tally
+    # and is renumbered by np.unique rather than by the tally, over only the
+    # rows whose prefix and suffix groups each hold both arms
     rng = np.random.default_rng(50)
     p, arity, n = 12, 50, 400
     base = rng.integers(0, arity, size=(150, p))
@@ -337,7 +340,14 @@ def test_drop_one_ranks_wide_keys_take_the_sorting_renumber():
     ranks = _check_every_drop(d, np.arange(n), tuple(range(p)))
     wide = [j for j in range(p) if ranks.prefix_bounds[j] * ranks.suffix_bounds[j + 1] > max(8 * n, 1 << 16)]
     assert wide
-    assert any(match_flags(d, np.arange(n), j, ranks=ranks).any() for j in wide)
+    paired = []  # rows paired by each wide drop
+    monkeypatch.setattr(grouper, "_pair_ids", lambda hi, *rest: paired.append(hi.size) or _pair_ids(hi, *rest))
+    filtered_hits = 0
+    for j in wide:
+        flags = match_flags(d, np.arange(n), j, ranks=ranks)
+        assert np.array_equal(flags, _reference_flags(d, np.arange(n), tuple(a for a in range(p) if a != j)))
+        filtered_hits += paired[-1] < n and flags.any()
+    assert len(paired) == len(wide) and filtered_hits
 
 
 def test_drop_one_ranks_empty_considered():

@@ -6,12 +6,15 @@ from hypothesis import strategies as st
 from flame_match.dataset import Dataset
 from flame_match.errors import DegenerateHoldoutError
 from flame_match.quality import (
+    SCREEN_WINDOW,
     _fit,
     balancing_factor,
     match_quality,
     pooled_prediction_error,
     prediction_error,
+    screen_drops,
 )
+from flame_match.synth import SynthSpec, generate
 
 
 def _dataset(covs, treatment, outcome):
@@ -149,6 +152,40 @@ def test_pe_invariant_to_order_and_duplication():
         unit_ids=np.arange(2 * noisy.n_units),
     )
     assert prediction_error(doubled, (0, 1)) == pytest.approx(base, rel=1e-9)
+
+
+@pytest.mark.parametrize("model", ["irrelevant", "decay_exp"])
+def test_screened_pe_equals_exact_pe_within_its_bound(model):
+    holdout = generate(SynthSpec(model, 1500, 1500, seed=3)).dataset
+    rng = np.random.default_rng(4)
+    p = holdout.n_covariates
+    for _ in range(6):
+        active = sorted(rng.choice(p, size=int(rng.integers(2, p + 1)), replace=False).tolist())
+        screen = screen_drops(holdout, active)
+        assert 0 < screen.bound < np.inf and screen.scale > 0
+        exact = np.array([prediction_error(holdout, active[:k] + active[k + 1 :]) for k in range(len(active))])
+        err = np.abs(screen.pe - exact)
+        assert np.all(err <= screen.bound)
+        assert np.all(err <= 1e-10 * exact)
+
+
+def test_screen_contenders_hold_the_window_or_everyone():
+    holdout = generate(SynthSpec("decay_exp", 500, 500, seed=5)).dataset
+    screen = screen_drops(holdout, range(holdout.n_covariates))
+    mq = -screen.pe
+    window = SCREEN_WINDOW * screen.scale
+    assert 8 * screen.bound <= window
+    picked = screen.contenders(mq)
+    assert picked.tolist() == np.flatnonzero(mq >= mq.max() - window).tolist()
+    assert np.argmax(mq) in picked
+    # a covariate that is constant within one arm leaves that arm's Gram
+    # singular up to the ridge: the bound outgrows the window
+    covs = holdout.covariates.copy()
+    covs[holdout.treatment == 1, 0] = 0
+    flat = Dataset(covs, holdout.arities, holdout.treatment, holdout.outcome, holdout.covariate_names, holdout.unit_ids)
+    ill = screen_drops(flat, range(holdout.n_covariates))
+    assert not 8 * ill.bound <= SCREEN_WINDOW * ill.scale
+    assert ill.contenders(-ill.pe).tolist() == list(range(holdout.n_covariates))
 
 
 @pytest.mark.parametrize(
