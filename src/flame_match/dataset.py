@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import csv
 import math
+import os
+import stat
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -180,10 +182,20 @@ def load_csv(path, schema: DatasetSchema, encodings: dict[str, list[str]] | None
     raises :class:`DataError`, and a list that names a category twice (after
     stripping) raises :class:`SchemaError`.
 
-    Rows are read once and encoded column by column, a few thousand at a
-    time, so the cells of the whole file are never held as strings at once;
-    a pipe streams like a file.
+    A regular file whose used cells are canonical decimal integers, like
+    every file ``synth.write_outputs`` writes, is parsed by ``np.loadtxt`` in
+    blocks of about ``_BLOCK_BYTES`` cut at a line end (:func:`_load_canonical`
+    lists its guards). Any other input, or any file on which a guard fails,
+    is read from its first byte by ``csv.reader``: rows are read once and
+    encoded column by column, a few thousand at a time, so the cells of the
+    whole file are never held as strings at once, and a pipe streams like a
+    file. Both paths build the same :class:`Dataset`, and every fault is
+    reported by the ``csv.reader`` path.
     """
+    if stat.S_ISREG(os.stat(path).st_mode):
+        with open(path, "rb") as fh:
+            if (d := _load_canonical(fh, path, schema, encodings)) is not None:
+                return d
     with open(path, encoding="utf-8-sig", newline="") as fh:
         reader = csv.reader(fh)
         try:
@@ -319,6 +331,130 @@ def _row_error(r: int, row: list[str], cols: _Columns) -> DataError | None:
             if raw not in cmap:
                 return DataError(f"row {r}: unseen category {raw!r} in column {name!r}")
     return None
+
+
+_BLOCK_BYTES = 1 << 16  # bytes per np.loadtxt call, before the cut back to a line end: small enough to keep each block's arrays small
+_BOM = b"\xef\xbb\xbf"
+# the bytes that csv.reader and the UTF-8 decode read as plain text: a tab, "\n" and printable ASCII but the quote
+_PLAIN = bytes([9, 10, *range(0x20, 0x7F)]).replace(b'"', b"")
+_UINT8 = {str(v): v for v in range(256)}  # each uint8 value, by its canonical text
+
+
+def _load_canonical(fh, path, schema: DatasetSchema, encodings: dict[str, list[str]] | None) -> Dataset | None:
+    """The :class:`Dataset` of a CSV whose used cells are canonical integers, or None where ``csv.reader`` must read it.
+
+    ``fh`` is a regular file opened in binary, at its first byte. Each
+    block of lines is checked with byte scans, then one ``np.loadtxt`` call
+    parses its used columns: covariates and treatment as uint8, the outcome
+    as float64, which ``np.loadtxt`` rounds as ``float`` does. A 256-entry
+    lookup per covariate turns values into first-appearance codes, written
+    into arrays allocated once from the file's line-end count. It gives up
+    (None) unless, after an optional byte-order mark:
+
+    - every byte is a tab, a ``\n`` or printable ASCII other than a quote,
+      so ``csv.reader`` would split each line at its commas and nothing else;
+    - every line has the header's field count, so there is no blank or
+      ragged row, at least one data row follows the header, and no cell (nor
+      the header line) is longer than ``csv.field_size_limit()``;
+    - the header passes :func:`_columns`;
+    - every treatment cell is ``0`` or ``1``, every covariate cell an integer
+      of at most 255 written as ``str`` writes it (``np.loadtxt`` also reads
+      `` 1``, ``+1`` and ``01`` as 1), and every outcome finite;
+    - frozen ``encodings`` are canonical integers of at most 255, and every
+      covariate value is one of them.
+    """
+    limit = csv.field_size_limit()
+    head = fh.readline().removeprefix(_BOM)
+    if not head.endswith(b"\n") or head.translate(None, _PLAIN) or len(head) > limit:
+        return None
+    header = head[:-1].decode("ascii").split(",")
+    try:
+        cols = _columns(path, [h.strip() for h in header], schema, encodings)
+    except FlameError:
+        return None
+    p, fields = len(cols.names), len(header)
+    # each covariate's value -> code lookup, -1 where the value has no code yet
+    lut = np.full((p, 256), -1, np.int16)
+    for k, cmap in enumerate(cols.code_maps):
+        if not cmap.keys() <= _UINT8.keys():
+            return None
+        lut[k, [_UINT8[raw] for raw in cmap]] = list(cmap.values())
+
+    start = fh.tell()
+    n, last = 0, b"\n"
+    while block := fh.read(_BLOCK_BYTES):
+        n, last = n + block.count(b"\n"), block[-1:]
+    n += last != b"\n"  # a last row without a line end
+    if n == 0:
+        return None
+    fh.seek(start)
+    treatment, outcome, codes = np.empty(n, np.int64), np.empty(n), np.empty((p, n), np.uint8)
+    dtype = np.dtype([("ints", np.uint8, (p + 1,)), ("outcome", np.float64)])
+    int_cols = [*cols.cov_idx, cols.t_idx]
+    flat, offsets = lut.reshape(-1), np.arange(p)[:, None] * 256
+    r = 0
+    for block in _line_blocks(fh):
+        rows = block.count(b"\n")
+        if r + rows > n or block.translate(None, _PLAIN):
+            return None
+        a = np.frombuffer(block, np.uint8)
+        ends = np.flatnonzero((a == ord(",")) | (a == ord("\n")))
+        # rows * fields separators, every fields-th one a line end: each line holds exactly fields - 1 commas
+        if len(ends) != rows * fields or not (a[ends[fields - 1 :: fields]] == ord("\n")).all():
+            return None
+        try:
+            parsed = np.loadtxt(
+                block.decode("ascii").splitlines(), dtype, delimiter=",", comments=None, quotechar=None,
+                usecols=(*int_cols, cols.y_idx), ndmin=1,
+            )
+        except ValueError:
+            return None
+        ints = parsed["ints"]
+        widths = (np.diff(ends, prepend=-1) - 1).reshape(rows, fields)
+        # np.loadtxt reads a uint8 cell as blanks, a plus sign and digits, so a cell is at least as wide as
+        # str() of its value, and only canonical cells make the totals equal
+        canonical = ints.size + np.count_nonzero(ints >= 10) + np.count_nonzero(ints >= 100)
+        if widths[:, int_cols].sum() != canonical or widths.max() > limit:
+            return None
+        if ints[:, -1].max() > 1 or not np.isfinite(parsed["outcome"]).all():
+            return None
+        got = flat.take(ints.T[:p] + offsets)
+        for k in np.flatnonzero(got.min(axis=1) < 0):
+            if cols.frozen:
+                return None
+            cmap = cols.code_maps[k]
+            values, first = np.unique(ints[got[k] < 0, k], return_index=True)
+            for v in values[np.argsort(first)]:
+                lut[k, v] = cmap[str(v)] = len(cmap)
+            got[k] = lut[k].take(ints[:, k])
+        codes[:, r : r + rows] = got
+        treatment[r : r + rows] = ints[:, -1]
+        outcome[r : r + rows] = parsed["outcome"]
+        r += rows
+    if r != n:
+        return None
+    return Dataset(
+        covariates=codes.T,
+        arities=[len(m) for m in cols.code_maps],
+        treatment=treatment,
+        outcome=outcome,
+        covariate_names=cols.names,
+        unit_ids=np.arange(n, dtype=np.int64),
+        encodings=tuple(tuple(m) for m in cols.code_maps),
+    )
+
+
+def _line_blocks(fh):
+    """``fh``'s remaining bytes in blocks of about ``_BLOCK_BYTES``, each cut after a ``\\n``; a last line without one gets one."""
+    carry = b""
+    while block := fh.read(_BLOCK_BYTES):
+        if cut := block.rfind(b"\n") + 1:
+            yield carry + block[:cut]
+            carry = block[cut:]
+        else:
+            carry += block
+    if carry:
+        yield carry + b"\n"
 
 
 def permute_covariates(d: Dataset, permutation) -> Dataset:

@@ -122,8 +122,8 @@ def test_byte_order_mark_skipped(tmp_path, text):
 
 
 def test_load_csv_peak_is_near_the_dataset_it_returns(tmp_path):
-    # the chunks' code blocks and their join peak near 1.7x the dataset's arrays; an int64
-    # (rows x p) staging buffer next to the narrowed store alone reaches 4.6x on this file
+    # canonical integer cells take the np.loadtxt path, which peaks near 1.6x the dataset's arrays; the
+    # csv.reader path's chunk parts and their join reach 1.7x, an int64 (rows x p) staging buffer 4.6x
     n, p = 100_000, 20
     rng = np.random.default_rng(0)
     path = tmp_path / "binary.csv"

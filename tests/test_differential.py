@@ -9,7 +9,8 @@ from hypothesis import strategies as st
 import flame_match.engine as engine
 import flame_match.grouper as grouper
 from conftest import first_match_levels, group_tuples, random_dataset
-from flame_match.dataset import Dataset
+from flame_match import dataset
+from flame_match.dataset import Dataset, DatasetSchema, load_csv
 from flame_match.engine import FlameConfig, run_flame
 from flame_match.quality import screen_drops
 from reference_flame import reference_flame
@@ -221,3 +222,49 @@ def test_sorting_renumber_run_matches_reference(monkeypatch):
     assert len(ref.dropped_order) >= 4
     sorting = [(rows, kept) for rows, bound, kept in paired if grouper._sorts(bound, rows)]
     assert sorting and any(kept < rows for rows, kept in sorting)
+
+
+def test_uint16_store_run_matches_reference(tmp_path):
+    # an arity-300 column next to three binary ones, loaded through load_csv: its codes 256 and up
+    # overflow the np.loadtxt path's uint8 parse, so csv.reader reads the file into a uint16 store
+    rng = np.random.default_rng(26)
+    n = 3000
+    wide, narrow, treatment = rng.integers(0, 300, n), rng.integers(0, 2, (n, 3)), rng.integers(0, 2, n)
+    outcome = 0.01 * wide + narrow @ [1.0, 2.0, 0.0] + treatment + rng.normal(0, 0.5, n)
+    path = tmp_path / "wide.csv"
+    rows = zip(wide.tolist(), *narrow.T.tolist(), treatment.tolist(), outcome.tolist())
+    path.write_text("wide,b1,b2,b3,T,Y\n" + "".join(f"{w},{b1},{b2},{b3},{t},{y!r}\n" for w, b1, b2, b3, t, y in rows))
+    schema = DatasetSchema("T", "Y")
+    with open(path, "rb") as fh:
+        assert dataset._load_canonical(fh, str(path), schema, None) is None
+    matching = load_csv(str(path), schema)
+    assert matching.covariates.dtype == np.uint16 and matching.arities.tolist() == [300, 2, 2, 2]
+    ref = _check_against_reference(matching, _holdout_for(matching, rng, n=600), replacement=True, stop_on_pe_blowup=False)
+    assert len(ref.dropped_order) >= 2
+
+
+def test_uint32_ranks_run_matches_reference(monkeypatch):
+    # 75k rows on one binary and three 64-ary covariates: level 1 leaves about 70k rows
+    # unmatched, more than uint16 numbers, so the next level's trial ranks them as uint32
+    rng = np.random.default_rng(25)
+    n = 75_000
+    arities = np.array([2, 64, 64, 64])
+    matching = Dataset(
+        covariates=np.stack([rng.integers(0, a, n) for a in arities], axis=1),
+        arities=arities,
+        treatment=rng.integers(0, 2, n),
+        outcome=rng.normal(size=n),
+        covariate_names=("c0", "c1", "c2", "c3"),
+        unit_ids=np.arange(n),
+    )
+    built = []
+    ranks_of = engine.drop_one_ranks
+
+    def ranks(*args):
+        built.append(ranks_of(*args))
+        return built[-1]
+
+    monkeypatch.setattr(engine, "drop_one_ranks", ranks)
+    ref = _check_against_reference(matching, _holdout_for(matching, rng, n=400), stop_on_pe_blowup=False, max_levels=3)
+    assert ref.dropped_order
+    assert built[0].prefix.shape[1] > 65_535 and built[0].prefix.dtype == np.uint32

@@ -1,7 +1,8 @@
 """``load_csv`` against the whole-file, row-by-row loader in reference_load_csv.py.
 
-The chunk size is cut to two or three rows, so that faults and new
-categories fall on chunk boundaries.
+The chunk size is cut to two or three rows, and the np.loadtxt path's block
+size to a few bytes, so that faults and new categories fall on chunk and
+block boundaries.
 """
 
 import csv
@@ -16,7 +17,7 @@ from hypothesis import strategies as st
 
 from flame_match import dataset
 from flame_match.dataset import DatasetSchema, load_csv
-from flame_match.errors import DataError, SchemaError
+from flame_match.errors import DataError, FlameError, SchemaError
 from reference_load_csv import reference_load_csv
 
 CATEGORIES = ["x", "y", "z"] * 8 + [" x ", "x\t", "a,b", 'q"t', "p\nq", "r\rs"]
@@ -222,3 +223,218 @@ def test_category_count_past_255_widens_the_store(tmp_path, three_row_chunks, fr
     _assert_same_load(path, SCHEMA, encodings)
     d = load_csv(path, SCHEMA, encodings)
     assert d.covariates.dtype == np.uint16 and d.covariates.flags.f_contiguous
+
+
+def _record_paths(mp):
+    """Patch ``_load_canonical`` to note, per call of ``load_csv`` on a regular file, which path built the result."""
+    paths = []
+    fast = dataset._load_canonical
+
+    def spy(*args):
+        try:
+            d = fast(*args)
+        except FlameError:
+            paths.append("np.loadtxt")
+            raise
+        paths.append("csv.reader" if d is None else "np.loadtxt")
+        return d
+
+    mp.setattr(dataset, "_load_canonical", spy)
+    return paths
+
+
+def _text(lines, end="\n"):
+    return "".join(",".join(line) + end for line in lines)
+
+
+def _cell_fault(edit):
+    def fault(lines, r, c, y):
+        lines[r][c] = edit(lines[r][c])
+        return _text(lines)
+
+    return fault
+
+
+def _outcome_fault(value):
+    def fault(lines, r, c, y):
+        lines[r][y] = value
+        return _text(lines)
+
+    return fault
+
+
+def _blank_line(lines, r, c, y):
+    return _text([*lines[:r], [""], *lines[r:]])
+
+
+def _long_row(lines, r, c, y):
+    lines[r].append("1")
+    return _text(lines)
+
+
+def _short_row(lines, r, c, y):
+    lines[r].pop()
+    return _text(lines)
+
+
+# each breaks one guard of the np.loadtxt path, in data row r, at used integer column c or outcome column y
+GUARD_FAULTS = {
+    "space_before": _cell_fault(lambda v: " " + v),
+    "plus_sign": _cell_fault(lambda v: "+" + v),
+    "leading_zero": _cell_fault(lambda v: "0" + v),
+    "space_after": _cell_fault(lambda v: v + " "),
+    "quoted": _cell_fault(lambda v: f'"{v}"'),
+    "non_ascii": _cell_fault(lambda v: v + "\u00e9"),
+    "nul_byte": _cell_fault(lambda v: v + "\0"),
+    "value_256": _cell_fault(lambda v: "256"),
+    "crlf": lambda lines, r, c, y: _text(lines, "\r\n"),
+    "bare_cr": lambda lines, r, c, y: _text(lines, "\r"),
+    "blank_line": _blank_line,
+    "long_row": _long_row,
+    "short_row": _short_row,
+    "outcome_underscore": _outcome_fault("1_0"),
+    "outcome_nan": _outcome_fault("nan"),
+    "outcome_overflow": _outcome_fault("1e999"),
+    "no_data_rows": lambda lines, r, c, y: _text(lines[:1]),
+}
+INT_CELLS = ["0", "1", "2", "9", "10", "42", "99", "100", "255"]
+# float() and np.loadtxt read the same value from each; no guard asks an outcome to be canonical
+INT_OUTCOMES = ["1.5", "-2", " 2 ", "+4.25", "3e2", "-0.0", "1e-05", "2.220446049250313e-16"]
+
+
+@st.composite
+def integer_files(draw):
+    """A CSV of integer codes as text lines, its schema and encodings, and whether np.loadtxt should read it whole.
+
+    Only an unused column may hold a cell that is not a canonical integer.
+    """
+    columns = draw(st.permutations(["a", "b", "T", "Y", "u"]))
+    covariates = draw(st.sampled_from([(), ("a", "b"), ("b",), ("u", "a")]))
+    used = covariates or ("a", "b", "u")
+    cells = {"a": st.sampled_from(INT_CELLS), "b": st.sampled_from(INT_CELLS[:3]), "T": st.sampled_from(["0", "1"]), "Y": st.sampled_from(INT_OUTCOMES)}
+    cells["u"] = st.sampled_from(INT_CELLS[:4] + ["w", " 7"]) if "u" not in used else cells["a"]
+    rows = [[draw(cells[c]) for c in columns] for _ in range(draw(st.integers(1, 10)))]
+    fast = True
+    encodings = None
+    if draw(st.booleans()):
+        encodings = {}
+        for name in used:
+            present = list(dict.fromkeys(row[columns.index(name)] for row in rows))
+            known = draw(st.permutations(list(dict.fromkeys(present + draw(st.lists(st.sampled_from(INT_CELLS), max_size=3))))))
+            tweak = draw(st.sampled_from(["none"] * 5 + ["unseen", "padded", "leading_zero", "missing"]))
+            if tweak == "unseen" and len(known) > 1:
+                known.remove(present[0])
+                fast = False  # csv.reader reports the unseen category
+            elif tweak == "padded":
+                known[0] = f" {known[0]} "  # stripped, as cells are
+            elif tweak == "leading_zero" and "0" + known[0] not in known:
+                known.append("0" + known[0])
+                fast = False
+            elif tweak == "missing":
+                fast = False
+                continue
+            encodings[name] = known
+    r = draw(st.integers(1, len(rows)))
+    c = columns.index(draw(st.sampled_from([*used, "T"])))
+    return [columns, *rows], DatasetSchema("T", "Y", covariates), encodings, (r, c, columns.index("Y")), fast
+
+
+@given(
+    case=integer_files(),
+    fault=st.sampled_from([None] * len(GUARD_FAULTS) + list(GUARD_FAULTS)),  # half the files are left whole
+    unterminated=st.booleans(),
+    bom=st.booleans(),
+    block_bytes=st.sampled_from([1, 5, 32, 4096]),
+)
+@settings(max_examples=300, deadline=None)
+def test_integer_files_match_reference_loader(case, fault, unterminated, bom, block_bytes):
+    lines, schema, encodings, (r, c, y), fast = case
+    if fault is None:
+        text = _text(lines)[: -1 if unterminated else None]  # no line end after the last row
+    else:
+        text, fast = GUARD_FAULTS[fault](lines, r, c, y), False
+    with tempfile.TemporaryDirectory() as tmp, pytest.MonkeyPatch.context() as mp:
+        mp.setattr(dataset, "_BLOCK_BYTES", block_bytes)
+        mp.setattr(dataset, "_CHUNK_ROWS", 2)
+        paths = _record_paths(mp)
+        path = os.path.join(tmp, "case.csv")
+        with open(path, "wb") as fh:
+            fh.write(b"\xef\xbb\xbf" * bom + text.encode("utf-8"))
+        _assert_same_load(path, schema, encodings)
+    assert paths == ["np.loadtxt" if fast else "csv.reader"]
+
+
+INT_LINES = [["a", "T", "Y", "u"], ["1", "1", "2.5", "x"], ["0", "0", "-1", ""], ["10", "1", "3e2", " 01"], ["255", "0", "4", "0"]]
+
+
+@pytest.fixture
+def tiny_blocks(monkeypatch):
+    monkeypatch.setattr(dataset, "_BLOCK_BYTES", 8)
+    return _record_paths(monkeypatch)
+
+
+@pytest.mark.parametrize("fault", list(GUARD_FAULTS))
+def test_each_guard_fault_falls_back_to_csv_reader(tmp_path, tiny_blocks, fault):
+    lines = [list(line) for line in INT_LINES]
+    path = _write(tmp_path, GUARD_FAULTS[fault](lines, 3, 0, 2).encode("utf-8"))
+    _assert_same_load(path, DatasetSchema("T", "Y", ("a",)))
+    assert tiny_blocks == ["csv.reader"]
+
+
+@pytest.mark.parametrize(
+    "data, covariates",
+    [
+        # a quoted cell of an unused column holds a comma and a line end: every line still splits into five fields
+        (b'a,T,Y,u,v\n0,0,5,w,w\n1,1,2,"x,\n1,0,3,4,y"\n', ("a",)),
+        # one row ends in CRLF, after an unused cell
+        (b"a,T,Y,u\n0,0,5,w\n1,1,2,x\r\n1,0,3,y\n", ("a",)),
+        (b'a,T,Y,"u"\n0,0,5,1\n1,1,2,0\n', ()),
+    ],
+    ids=["quoted_line_end", "one_crlf_row", "quoted_header"],
+)
+def test_quote_or_cr_anywhere_falls_back(tmp_path, tiny_blocks, data, covariates):
+    _assert_same_load(_write(tmp_path, data), DatasetSchema("T", "Y", covariates))
+    assert tiny_blocks == ["csv.reader"]
+
+
+@pytest.mark.parametrize(
+    "encodings, path_taken",
+    [
+        (None, "np.loadtxt"),
+        ({"a": ["255", " 10 ", "0", "7", "1"]}, "np.loadtxt"),
+        ({"a": ["255", "10", "0"]}, "csv.reader"),  # 1 is unseen
+        ({"a": ["255", "10", "0", "1", "01"]}, "csv.reader"),
+        ({"a": ["255", "10", "0", "1", "256"]}, "csv.reader"),
+    ],
+)
+def test_frozen_encodings_take_the_fast_path_only_if_canonical(tmp_path, tiny_blocks, encodings, path_taken):
+    path = _write(tmp_path, _text(INT_LINES).encode())
+    _assert_same_load(path, DatasetSchema("T", "Y", ("a",)), encodings)
+    assert tiny_blocks == [path_taken]
+
+
+@pytest.mark.parametrize("row, width, path_taken", [(2, 20, "np.loadtxt"), (2, 21, "csv.reader"), (0, 21, "csv.reader")])
+def test_cell_over_field_size_limit_falls_back(tmp_path, tiny_blocks, row, width, path_taken):
+    # an unused cell at the limit loads; one byte more, in a row or the header, and csv.reader raises its csv.Error
+    lines = [list(line) for line in INT_LINES]
+    lines[row][3] = "w" * width
+    path = _write(tmp_path, _text(lines).encode())
+    limit = csv.field_size_limit(20)
+    try:
+        _assert_same_load(path, DatasetSchema("T", "Y", ("a",)))
+    finally:
+        csv.field_size_limit(limit)
+    assert tiny_blocks == [path_taken]
+
+
+def test_integer_pipe_streams_through_csv_reader(tmp_path, tiny_blocks):
+    data = _text(INT_LINES).encode()
+    r, w = os.pipe()
+    os.write(w, data)
+    os.close(w)
+    try:
+        got = _load(load_csv, f"/dev/fd/{r}", SCHEMA, None)
+    finally:
+        os.close(r)
+    assert got == _load(reference_load_csv, _write(tmp_path, data), SCHEMA, None)
+    assert tiny_blocks == []
