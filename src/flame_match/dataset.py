@@ -11,6 +11,7 @@ import csv
 import math
 import os
 import stat
+import warnings
 from dataclasses import dataclass, replace
 from itertools import islice
 
@@ -359,7 +360,9 @@ def _load_canonical(fh, path, schema: DatasetSchema, encodings: dict[str, list[s
     - the header passes :func:`_columns`;
     - every treatment cell is ``0`` or ``1``, every covariate cell an integer
       of at most 255 written as ``str`` writes it (``np.loadtxt`` also reads
-      `` 1``, ``+1`` and ``01`` as 1), and every outcome finite;
+      `` 1``, ``+1`` and ``01`` as 1), and every outcome finite; a cell that
+      ``np.loadtxt`` would read through float, with a DeprecationWarning, is a
+      failed parse;
     - frozen ``encodings`` are canonical integers of at most 255, and every
       covariate value is one of them.
     """
@@ -403,11 +406,15 @@ def _load_canonical(fh, path, schema: DatasetSchema, encodings: dict[str, list[s
         if len(ends) != rows * fields or not (a[ends[fields - 1 :: fields]] == ord("\n")).all():
             return None
         try:
-            parsed = np.loadtxt(
-                block.decode("ascii").splitlines(), dtype, delimiter=",", comments=None, quotechar=None,
-                usecols=(*int_cols, cols.y_idx), ndmin=1,
-            )
-        except ValueError:
+            # numpy from 1.23 may read an integer cell it cannot parse, such as 1e2 or 356, through float with a
+            # DeprecationWarning and cast it to uint8; as an error it becomes the ValueError of a failed parse
+            with warnings.catch_warnings():
+                warnings.simplefilter("error", DeprecationWarning)
+                parsed = np.loadtxt(
+                    block.decode("ascii").splitlines(), dtype, delimiter=",", comments=None, quotechar=None,
+                    usecols=(*int_cols, cols.y_idx), ndmin=1,
+                )
+        except (ValueError, DeprecationWarning):
             return None
         ints = parsed["ints"]
         widths = (np.diff(ends, prepend=-1) - 1).reshape(rows, fields)

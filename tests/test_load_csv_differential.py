@@ -9,6 +9,7 @@ import csv
 import io
 import os
 import tempfile
+import warnings
 
 import numpy as np
 import pytest
@@ -287,6 +288,9 @@ GUARD_FAULTS = {
     "non_ascii": _cell_fault(lambda v: v + "\u00e9"),
     "nul_byte": _cell_fault(lambda v: v + "\0"),
     "value_256": _cell_fault(lambda v: "256"),
+    # as wide as 100, the value an older numpy reads from each through float, with a DeprecationWarning
+    "exponent": _cell_fault(lambda v: "1e2"),
+    "value_356": _cell_fault(lambda v: "356"),
     "crlf": lambda lines, r, c, y: _text(lines, "\r\n"),
     "bare_cr": lambda lines, r, c, y: _text(lines, "\r"),
     "blank_line": _blank_line,
@@ -378,6 +382,21 @@ def test_each_guard_fault_falls_back_to_csv_reader(tmp_path, tiny_blocks, fault)
     lines = [list(line) for line in INT_LINES]
     path = _write(tmp_path, GUARD_FAULTS[fault](lines, 3, 0, 2).encode("utf-8"))
     _assert_same_load(path, DatasetSchema("T", "Y", ("a",)))
+    assert tiny_blocks == ["csv.reader"]
+
+
+def test_integer_read_through_float_falls_back(tmp_path, tiny_blocks, monkeypatch):
+    # numpy 1.23 and later may parse an integer cell it cannot read as an integer through float, warn and cast
+    # 1e2 and 356 to 100; a DeprecationWarning from np.loadtxt must send the file to csv.reader
+    loadtxt = np.loadtxt
+
+    def warning_loadtxt(*args, **kwargs):
+        warnings.warn("loadtxt(): Parsing an integer via a float is deprecated.", DeprecationWarning, stacklevel=2)
+        return loadtxt(*args, **kwargs)
+
+    monkeypatch.setattr(np, "loadtxt", warning_loadtxt)
+    lines = [list(line) for line in INT_LINES]
+    _assert_same_load(_write(tmp_path, _text(lines).encode()), DatasetSchema("T", "Y", ("a",)))
     assert tiny_blocks == ["csv.reader"]
 
 
