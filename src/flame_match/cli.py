@@ -33,7 +33,7 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _atomic_write(path: str, *pieces: str):
-    """Write ``pieces`` to a temp file renamed onto ``path``, encoding 2**20 characters at a time, never a whole report."""
+    """Write ``pieces`` to a temp file renamed onto ``path``, encoding one piece at a time, never a whole report."""
     directory = os.path.dirname(os.path.abspath(path))
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     # mkstemp makes the file owner-only; give it the mode open(path, "w") would
@@ -42,9 +42,7 @@ def _atomic_write(path: str, *pieces: str):
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             os.fchmod(fh.fileno(), 0o666 & ~umask)
-            for piece in pieces:
-                for start in range(0, len(piece), 1 << 20):
-                    fh.write(piece[start : start + (1 << 20)])
+            fh.writelines(pieces)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -96,12 +94,12 @@ def cmd_match(args):
     run = run_flame(matching, holdout, config)
     if args.format == "json":
         written = [args.output]
-        _atomic_write(args.output, matchrun_to_json(run), "\n")
+        _atomic_write(args.output, *matchrun_to_json(run), "\n")
     else:
         base = _split_base(args.output)
         written = [f"{base}.units.csv", f"{base}.levels.csv"]
-        _atomic_write(written[0], matchrun_units_csv(run))
-        _atomic_write(written[1], matchrun_levels_csv(run))
+        _atomic_write(written[0], *matchrun_units_csv(run))
+        _atomic_write(written[1], *matchrun_levels_csv(run))
     n_groups = sum(len(lv.table) for lv in run.levels)
     try:
         ate = f"{estimate_ate(run):.6g}"

@@ -93,7 +93,7 @@ class Dataset:
             if np.any(self.arities < 2):
                 bad = int(np.argmin(self.arities))
                 raise DataError(f"covariate {self.covariate_names[bad]!r} has arity {int(self.arities[bad])}; arity must be >= 2")
-            if self.covariates.min() < 0 or np.any(self.covariates >= self.arities[None, :]):
+            if self.covariates.min() < 0 or np.any(self.covariates.max(axis=0) >= self.arities):
                 raise DataError("covariate code out of range for its arity")
             bad_t = (self.treatment != 0) & (self.treatment != 1)
             if np.any(bad_t):

@@ -351,14 +351,14 @@ def _json_array(items, indent: int) -> str:
     return f"[{pad}{body}\n{' ' * indent}]" if body else "[]"
 
 
-def matchrun_to_json(run: MatchRun) -> str:
-    """Full machine-readable run report, laid out as ``json.dumps(indent=2)`` lays out its dict.
+def matchrun_to_json(run: MatchRun) -> list[str]:
+    """Full machine-readable run report, laid out as ``json.dumps(indent=2)`` lays out its dict, as pieces to concatenate.
 
-    The small blocks go through ``json.dumps`` and are re-indented, each
-    group is written as one string, and the pieces are joined once, so no
-    Python object per unit outlives its level. Integer ids are written with
-    ``str``; other ids and every float go through ``json.dumps``, which keeps
-    ``repr``, ``NaN`` and ``Infinity``.
+    The small blocks go through ``json.dumps`` and are re-indented, and each
+    group is written as one piece, so no Python object per unit outlives its
+    level and the pieces are never joined. The text has no final newline.
+    Integer ids are written with ``str``; other ids and every float go through
+    ``json.dumps``, which keeps ``repr``, ``NaN`` and ``Infinity``.
     """
     try:
         ate = estimate_ate(run)
@@ -405,15 +405,15 @@ def matchrun_to_json(run: MatchRun) -> str:
         + f'  "n_units": {run.n_units},\n  "n_matched": {run.n_matched},\n  "unmatched_unit_ids": '
     )
     pieces += [_json_array(map(encode_id, run.unmatched_unit_ids.tolist()), 2), "\n}"]
-    return "".join(pieces)
+    return pieces
 
 
-def matchrun_units_csv(run: MatchRun) -> str:
-    """Per-unit assignments: unit_id, level, group signature, cate.
+def matchrun_units_csv(run: MatchRun) -> list[str]:
+    """Per-unit assignments: unit_id, level, group signature, cate, as pieces to concatenate.
 
     Each unit appears once, under the first group it was matched into (the
     only group, when matching without replacement). A group's kept units are
-    written as one string: their ids, each followed by the group's line end.
+    written as one piece: their ids, each followed by the group's line end.
     """
     pieces = ["unit_id,level,signature,cate\n"]
     seen = np.zeros(run.n_units, dtype=bool)
@@ -429,17 +429,17 @@ def matchrun_units_csv(run: MatchRun) -> str:
             if hi > lo:
                 line_end = f",{lv.level},{'|'.join(map(str, sig))},{cate!r}\n"
                 pieces.append(line_end.join(map(str, ids[lo:hi].tolist())) + line_end)
-    return "".join(pieces)
+    return pieces
 
 
-def matchrun_levels_csv(run: MatchRun) -> str:
-    """Per-level quality series (plot-ready): level, n_active, pe, bf, mq, groups, and the members of the kept groups.
+def matchrun_levels_csv(run: MatchRun) -> list[str]:
+    """Per-level quality series (plot-ready): level, n_active, pe, bf, mq, groups, and the members of the kept groups, one line a piece.
 
     With replacement, ``n_matched`` counts units matched at an earlier level again.
     """
-    lines = ["level,n_active,pe,bf,mq,n_groups,n_matched"]
+    lines = ["level,n_active,pe,bf,mq,n_groups,n_matched\n"]
     for lv in run.levels:
         lines.append(
-            f"{lv.level},{len(lv.active)},{lv.quality.pe!r},{lv.quality.bf!r},{lv.quality.mq!r},{len(lv.table)},{lv.table.rows.size}"
+            f"{lv.level},{len(lv.active)},{lv.quality.pe!r},{lv.quality.bf!r},{lv.quality.mq!r},{len(lv.table)},{lv.table.rows.size}\n"
         )
-    return "\n".join(lines) + "\n"
+    return lines

@@ -392,7 +392,7 @@ def test_atomic_write_failure_leaves_target_untouched(tmp_path):
 
 @pytest.mark.parametrize("text", ["ascii", "é€𝔽"])
 def test_atomic_write_joins_its_pieces(tmp_path, text):
-    # the first piece spans several 1 MiB-character slices, each encoded on its own
+    # the pieces, one over 3 MiB and one empty, reach the file joined in order, non-ASCII text included
     pieces = [text * (3 * (1 << 20) // len(text) + 1), "\n", "", text]
     target = tmp_path / "report.json"
     _atomic_write(str(target), *pieces)

@@ -170,6 +170,14 @@ def test_dataset_invariants_enforced():
             Dataset(**{**three, "unit_ids": np.array(ids)})
 
 
+def test_code_range_checked_against_its_own_columns_arity():
+    two_columns = {**TWO_UNITS, "arities": np.array([3, 2]), "covariate_names": ("a", "b")}
+    Dataset(**{**two_columns, "covariates": np.array([[2, 0], [0, 1]])})
+    # column b's code 2 reaches b's arity but stays below a's
+    with pytest.raises(DataError, match="out of range"):
+        Dataset(**{**two_columns, "covariates": np.array([[0, 0], [1, 2]])})
+
+
 def test_non_integral_codes_and_treatment_rejected():
     with pytest.raises(DataError, match="treatment"):
         Dataset(**{**TWO_UNITS, "treatment": np.array([0.5, 1.0])})

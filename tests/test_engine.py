@@ -141,11 +141,11 @@ def test_empty_matching_dataset_reports():
         unit_ids=np.zeros(0, dtype=np.int64),
     )
     run = run_flame(empty, holdout)
-    payload = json.loads(matchrun_to_json(run))
+    payload = json.loads("".join(matchrun_to_json(run)))
     assert payload["stop_reason"] == "no_unmatched_data" and payload["levels"] == [] and payload["ate"] is None
     assert payload["n_units"] == payload["n_matched"] == 0 and payload["unmatched_unit_ids"] == []
-    assert matchrun_units_csv(run) == "unit_id,level,signature,cate\n"
-    assert matchrun_levels_csv(run) == "level,n_active,pe,bf,mq,n_groups,n_matched\n"
+    assert "".join(matchrun_units_csv(run)) == "unit_id,level,signature,cate\n"
+    assert "".join(matchrun_levels_csv(run)) == "level,n_active,pe,bf,mq,n_groups,n_matched\n"
 
 
 @pytest.mark.parametrize(
@@ -186,10 +186,10 @@ def test_numpy_scalar_config_reports_like_python_scalars():
     assert [type(getattr(numpy_config, name)) for name in ("max_levels", "seed", "epsilon", "replacement")] == [
         int, int, float, bool
     ]
-    report = matchrun_to_json(run_flame(res.dataset, hold.dataset, numpy_config))
+    report = "".join(matchrun_to_json(run_flame(res.dataset, hold.dataset, numpy_config)))
     schema = json.loads((Path(__file__).resolve().parents[1] / "docs" / "matchrun.schema.json").read_text())
     jsonschema.validate(json.loads(report), schema)
-    assert report == matchrun_to_json(run_flame(res.dataset, hold.dataset, plain))
+    assert report == "".join(matchrun_to_json(run_flame(res.dataset, hold.dataset, plain)))
 
 
 def test_single_arm_matching_stops():
@@ -287,7 +287,7 @@ def test_determinism_identical_reports():
     hold = generate(SynthSpec(model="irrelevant", n_control=400, n_treated=400, seed=9))
     run1 = run_flame(res.dataset, hold.dataset)
     run2 = run_flame(res.dataset, hold.dataset)
-    assert matchrun_to_json(run1) == matchrun_to_json(run2)
+    assert "".join(matchrun_to_json(run1)) == "".join(matchrun_to_json(run2))
 
 
 def test_candidate_choice_invariant_to_uniform_pe_shift(monkeypatch):
@@ -346,7 +346,7 @@ def test_with_replacement_groups_keep_full_membership():
     assert set(run.unit_ids[list(rows)].tolist()) == {0, 1, 2}
     assert (n_t, n_c) == (1, 2)
     # units 0 and 1 keep their level-1 assignment in the per-unit export
-    lines = matchrun_units_csv(run).strip().splitlines()[1:]
+    lines = "".join(matchrun_units_csv(run)).strip().splitlines()[1:]
     levels_by_unit = {int(line.split(",")[0]): int(line.split(",")[1]) for line in lines}
     assert levels_by_unit[0] == 1 and levels_by_unit[1] == 1 and levels_by_unit[2] == 2
 
@@ -433,15 +433,15 @@ def test_report_serialization_shapes():
     payload = matchrun_to_json_dict(run)
     assert payload["stop_reason"] in {r.value for r in StopReason}
     assert payload["n_matched"] + len(payload["unmatched_unit_ids"]) == payload["n_units"]
-    parsed = json.loads(matchrun_to_json(run))
+    parsed = json.loads("".join(matchrun_to_json(run)))
     assert parsed == payload
 
-    units_csv = matchrun_units_csv(run)
+    units_csv = "".join(matchrun_units_csv(run))
     lines = units_csv.strip().splitlines()
     assert lines[0] == "unit_id,level,signature,cate"
     assert len(lines) - 1 == run.n_matched  # one row per matched unit
 
-    levels_csv = matchrun_levels_csv(run)
+    levels_csv = "".join(matchrun_levels_csv(run))
     header, *rows = levels_csv.strip().splitlines()
     assert header == "level,n_active,pe,bf,mq,n_groups,n_matched"
     assert len(rows) == len(run.levels)
