@@ -48,7 +48,7 @@ class Dataset:
 
     covariates: (n, p) codes, column k in ``[0, arities[k])``; column-major, in the narrowest dtype holding every arity
     arities:    (p,) number of categories per covariate (>= 2 for nonempty data)
-    treatment:  (n,) values in {0, 1}
+    treatment:  (n,) bool, True for a treated unit (built from any values in {0, 1})
     outcome:    (n,) float
     encodings:  per covariate, the raw category strings indexed by code
                 (None for data born as codes, e.g. synthetic draws)
@@ -69,7 +69,11 @@ class Dataset:
         # integer codes (a row subset of a stored dataset, say) are range-checked as they are, without an int64 copy
         object.__setattr__(self, "covariates", covs if covs.dtype.kind in "iu" else _int64(covs, "covariate codes"))
         object.__setattr__(self, "arities", np.asarray(self.arities, dtype=np.int64))
-        object.__setattr__(self, "treatment", _int64(self.treatment, "treatment values"))
+        # the arm is decided once, as a mask; bool input is stored as it is
+        treatment = np.asarray(self.treatment)
+        if treatment.dtype != bool and np.any((treatment != 0) & (treatment != 1)):
+            raise DataError("treatment values must be 0 or 1")
+        object.__setattr__(self, "treatment", treatment.astype(bool, copy=False))
         object.__setattr__(self, "outcome", np.asarray(self.outcome, dtype=np.float64))
         object.__setattr__(self, "unit_ids", np.asarray(self.unit_ids))
         object.__setattr__(self, "covariate_names", tuple(self.covariate_names))
@@ -95,9 +99,6 @@ class Dataset:
                 raise DataError(f"covariate {self.covariate_names[bad]!r} has arity {int(self.arities[bad])}; arity must be >= 2")
             if self.covariates.min() < 0 or np.any(self.covariates.max(axis=0) >= self.arities):
                 raise DataError("covariate code out of range for its arity")
-            bad_t = (self.treatment != 0) & (self.treatment != 1)
-            if np.any(bad_t):
-                raise DataError("treatment values must be 0 or 1")
         # sort and compare neighbours: a bare np.unique takes a much slower hash path
         ids = np.sort(self.unit_ids)
         if np.any(ids[1:] == ids[:-1]):
@@ -113,7 +114,7 @@ class Dataset:
 
     @property
     def n_treated(self) -> int:
-        return int(self.treatment.sum())
+        return int(np.count_nonzero(self.treatment))
 
     @property
     def n_control(self) -> int:
@@ -253,7 +254,7 @@ def _columns(path, header: list[str], schema: DatasetSchema, encodings: dict[str
 def _encode(reader, cols: _Columns) -> Dataset:
     # an empty part gives a file without data rows its arrays; each chunk's codes are a (p, k) block,
     # so the joined (p, n) codes transpose into the column-major store the Dataset keeps as it is
-    parts = [(np.empty(0, np.int64), np.empty(0), np.empty((len(cols.names), 0), np.uint8))]
+    parts = [(np.empty(0, bool), np.empty(0), np.empty((len(cols.names), 0), np.uint8))]
     n = 0
     while chunk := list(islice(reader, _CHUNK_ROWS)):
         if (part := _encode_chunk(chunk, cols)) is None:
@@ -263,16 +264,7 @@ def _encode(reader, cols: _Columns) -> Dataset:
         n += len(chunk)
     treatment, outcome, codes = (np.concatenate(arrays, axis=-1) for arrays in zip(*parts))
     del parts  # before the Dataset's checks allocate, so that ingest peaks at the parts and their join
-
-    return Dataset(
-        covariates=codes.T,
-        arities=[len(m) for m in cols.code_maps],
-        treatment=treatment,
-        outcome=outcome,
-        covariate_names=cols.names,
-        unit_ids=np.arange(n, dtype=np.int64),
-        encodings=tuple(tuple(m) for m in cols.code_maps),
-    )
+    return _loaded(cols, codes, treatment, outcome)
 
 
 def _encode_chunk(chunk: list[list[str]], cols: _Columns) -> tuple[np.ndarray, np.ndarray, np.ndarray] | None:
@@ -281,7 +273,7 @@ def _encode_chunk(chunk: list[list[str]], cols: _Columns) -> tuple[np.ndarray, n
     if min(map(len, chunk)) <= max(cols.used):
         return None
     by_column = list(zip(*chunk))
-    if (treatment := _column_codes(by_column[cols.t_idx], _TREATMENT, grow=False)) is None:
+    if (treatment := _column_codes(by_column[cols.t_idx], _TREATMENT, grow=False, dtype=bool)) is None:
         return None
     try:
         outcome = np.fromiter(map(float, by_column[cols.y_idx]), np.float64, count=k)
@@ -297,8 +289,8 @@ def _encode_chunk(chunk: list[list[str]], cols: _Columns) -> tuple[np.ndarray, n
     return treatment, outcome, np.array(codes, np.min_scalar_type(max(map(len, cols.code_maps))))
 
 
-def _column_codes(col: tuple[str, ...], cmap: dict[str, int], grow: bool) -> np.ndarray | None:
-    """Codes of ``col``'s stripped cells under ``cmap``, which takes new categories in order of appearance when ``grow``.
+def _column_codes(col: tuple[str, ...], cmap: dict[str, int], grow: bool, dtype=np.int64) -> np.ndarray | None:
+    """Codes, as ``dtype``, of ``col``'s stripped cells under ``cmap``, which takes new categories in order of appearance when ``grow``.
 
     None if a cell is blank, or unknown to ``cmap`` without ``grow``. Each
     distinct raw cell is stripped and looked up once.
@@ -309,7 +301,7 @@ def _column_codes(col: tuple[str, ...], cmap: dict[str, int], grow: bool) -> np.
         if not key or not (grow or key in cmap):
             return None
         by_raw[raw] = cmap.setdefault(key, len(cmap))
-    return np.fromiter(map(by_raw.__getitem__, col), np.int64, count=len(col))
+    return np.fromiter(map(by_raw.__getitem__, col), dtype, count=len(col))
 
 
 def _row_error(r: int, row: list[str], cols: _Columns) -> DataError | None:
@@ -391,7 +383,7 @@ def _load_canonical(fh, path, schema: DatasetSchema, encodings: dict[str, list[s
     if n == 0:
         return None
     fh.seek(start)
-    treatment, outcome, codes = np.empty(n, np.int64), np.empty(n), np.empty((p, n), np.uint8)
+    treatment, outcome, codes = np.empty(n, bool), np.empty(n), np.empty((p, n), np.uint8)
     dtype = np.dtype([("ints", np.uint8, (p + 1,)), ("outcome", np.float64)])
     int_cols = [*cols.cov_idx, cols.t_idx]
     flat, offsets = lut.reshape(-1), np.arange(p)[:, None] * 256
@@ -440,13 +432,18 @@ def _load_canonical(fh, path, schema: DatasetSchema, encodings: dict[str, list[s
         r += rows
     if r != n:
         return None
+    return _loaded(cols, codes, treatment, outcome)
+
+
+def _loaded(cols: _Columns, codes: np.ndarray, treatment: np.ndarray, outcome: np.ndarray) -> Dataset:
+    """The :class:`Dataset` of a loaded file: ``(p, n)`` codes under ``cols.code_maps``, units numbered ``0..n-1``."""
     return Dataset(
         covariates=codes.T,
         arities=[len(m) for m in cols.code_maps],
         treatment=treatment,
         outcome=outcome,
         covariate_names=cols.names,
-        unit_ids=np.arange(n, dtype=np.int64),
+        unit_ids=np.arange(len(outcome), dtype=np.int64),
         encodings=tuple(tuple(m) for m in cols.code_maps),
     )
 

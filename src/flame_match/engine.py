@@ -165,7 +165,7 @@ def _arm_moments(y: np.ndarray, sizes: np.ndarray) -> tuple[np.ndarray, np.ndarr
 def _level_record(d: Dataset, level: int, active, quality: LevelQuality, table: GroupTable) -> LevelRecord:
     """Per group: treated-minus-control mean outcome and the two arms' summed sample variances, in one pass."""
     # each group's rows are contiguous, so either arm's selection keeps its runs in group order
-    treated = d.treatment[table.rows] == 1
+    treated = d.treatment[table.rows]
     y = d.outcome[table.rows]
     mean_t, var_t = _arm_moments(y[treated], table.n_treated)
     mean_c, var_c = _arm_moments(y[~treated], table.n_control)
@@ -241,7 +241,7 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
             stop = StopReason.NO_UNMATCHED_DATA
             break
         pool = all_rows if config.replacement else un_rows
-        pool_treated = matching.treatment[pool] == 1
+        pool_treated = matching.treatment[pool]
         if pool_treated.all() or not pool_treated.any():
             stop = StopReason.ONE_ARM_EXHAUSTED
             break

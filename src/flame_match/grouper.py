@@ -189,7 +189,7 @@ def drop_one_ranks(d: Dataset, considered, active) -> DropOneRanks:
     for k in range(m - 1, -1, -1):
         h = int(d.arities[active[k]])
         suffix[k], suffix_bounds[k] = _pair_ids(codes[k], h, suffix[k + 1], suffix_bounds[k + 1])
-    treated = d.treatment[considered] == 1
+    treated = d.treatment[considered]
     return DropOneRanks(active, prefix, suffix, tuple(prefix_bounds), tuple(suffix_bounds), treated)
 
 
@@ -310,7 +310,7 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
         gid, n_groups = np.zeros(considered.size, dtype=np.int64), 1
         for k, a in enumerate(active):
             gid, n_groups = _pair_ids(gid, n_groups, codes[k], int(d.arities[a]))
-        sizes, treated, valid = _arm_counts(gid, n_groups, d.treatment[considered] == 1)
+        sizes, treated, valid = _arm_counts(gid, n_groups, d.treatment[considered])
         flags = valid[gid]
         # a stable sort of the hit ids lists each group's rows in considered
         # order, and the groups themselves in signature order

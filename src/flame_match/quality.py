@@ -63,7 +63,7 @@ def _arm_blocks(holdout: Dataset, active):
     # unlike grouping, an empty active set is meaningful here: the model
     # degenerates to a per-arm intercept
     active = check_active(active, holdout.n_covariates) if len(tuple(active)) else ()
-    arms = [np.flatnonzero(holdout.treatment == t) for t in (0, 1)]
+    arms = [np.flatnonzero(~holdout.treatment), np.flatnonzero(holdout.treatment)]
     if any(rows.size == 0 for rows in arms):
         raise DegenerateHoldoutError("holdout must contain at least one treated and one control unit")
     # the float block is C-ordered whatever the store's layout: that fixes the

@@ -56,7 +56,7 @@ def generate(spec: SynthSpec) -> SynthResult:
     rng = np.random.default_rng(spec.seed)
     n_c, n_t = spec.n_control, spec.n_treated
     n = n_c + n_t
-    treatment = np.concatenate([np.zeros(n_c, dtype=np.int64), np.ones(n_t, dtype=np.int64)])
+    treatment = np.arange(n) >= n_c  # controls first, then the treated
     eps = rng.normal(0.0, NOISE_STD, size=n)
     params: dict = {
         "model": spec.model,
@@ -74,7 +74,7 @@ def generate(spec: SynthSpec) -> SynthResult:
         x = (rng.random((n, 10)) < 0.5).astype(np.int64)
         if spec.model == "irrelevant":
             # extra covariates carry no signal but are imbalanced across arms
-            p_extra = np.where(treatment[:, None] == 1, 0.9, 0.1)
+            p_extra = np.where(treatment[:, None], 0.9, 0.1)
             extra = (rng.random((n, 20)) < p_extra).astype(np.int64)
             covs = np.hstack([x, extra])
         else:
@@ -94,7 +94,7 @@ def generate(spec: SynthSpec) -> SynthResult:
         alpha = 1.0 / idx
         p_control = 0.1 + 3.0 * (idx - 1) / 190.0
         p_treated = 0.9 - 3.0 * (idx - 1) / 190.0
-        probs = np.where(treatment[:, None] == 1, p_treated[None, :], p_control[None, :])
+        probs = np.where(treatment[:, None], p_treated[None, :], p_control[None, :])
         covs = (rng.random((n, 20)) < probs).astype(np.int64)
         cate = np.full(n, 10.0)
         y = covs @ alpha + 10.0 * treatment + eps

@@ -3,8 +3,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from flame_match import dataset
 from flame_match.dataset import Dataset, DatasetSchema, load_csv, permute_covariates, sort_covariates_by_arity, split_holdout
 from flame_match.errors import DataError, SchemaError
+from flame_match.synth import SynthSpec, generate
 
 SCHEMA = DatasetSchema(treatment_column="T", outcome_column="Y")
 
@@ -122,8 +124,8 @@ def test_byte_order_mark_skipped(tmp_path, text):
 
 
 def test_load_csv_peak_is_near_the_dataset_it_returns(tmp_path):
-    # canonical integer cells take the np.loadtxt path, which peaks near 1.6x the dataset's arrays; the
-    # csv.reader path's chunk parts and their join reach 1.7x, an int64 (rows x p) staging buffer 4.6x
+    # canonical integer cells take the np.loadtxt path, which peaks near 1.35x the dataset's arrays; the
+    # csv.reader path's chunk parts and their join reach 1.6x, an int64 (rows x p) staging buffer 4.6x
     n, p = 100_000, 20
     rng = np.random.default_rng(0)
     path = tmp_path / "binary.csv"
@@ -185,14 +187,39 @@ def test_non_integral_codes_and_treatment_rejected():
         Dataset(**{**TWO_UNITS, "covariates": np.array([[0.7], [1.2]])})
     # integral floats, narrower ints and bools still cast
     d = Dataset(**{**TWO_UNITS, "covariates": np.array([[0.0], [1.0]]), "treatment": np.array([False, True])})
-    # codes are stored column-major in the narrowest dtype holding the arities; treatment stays int64
+    # codes are stored column-major in the narrowest dtype holding the arities; treatment as a bool mask
     assert d.covariates.dtype == np.uint8 and d.covariates.flags.f_contiguous and d.covariates[:, 0].tolist() == [0, 1]
-    assert d.treatment.dtype == np.int64 and d.treatment.tolist() == [0, 1]
+    assert d.treatment.dtype == bool and d.treatment.tolist() == [False, True]
     d = Dataset(**{**TWO_UNITS, "covariates": np.array([[0], [1]], dtype=np.int8)})
     assert d.covariates.dtype == np.uint8 and d.covariates.flags.f_contiguous
     # narrow signed codes are range-checked before they are stored unsigned
     with pytest.raises(DataError, match="out of range"):
         Dataset(**{**TWO_UNITS, "covariates": np.array([[-1], [1]], dtype=np.int8)})
+
+
+def test_treatment_is_a_bool_mask_on_every_construction_path(write_csv):
+    rows = [[0, 0, 1.5], [1, 1, 2.5], [1, 0, 0.5], [0, 1, 1.0]]
+    mask = [False, True, False, True]
+    path = write_csv("n.csv", ["a", "T", "Y"], rows)
+    with open(path, "rb") as fh:
+        canonical = dataset._load_canonical(fh, path, SCHEMA, None)
+    # string categories leave only the csv.reader path
+    by_reader = load_csv(write_csv("s.csv", ["a", "T", "Y"], [[f"c{a}", t, y] for a, t, y in rows]), SCHEMA)
+    matching, holdout = split_holdout(canonical, 0.5, seed=0)
+    built = [
+        Dataset(**{**TWO_UNITS, "treatment": t})
+        for t in (np.array([0, 1], dtype=np.int64), np.array([False, True]), np.array([0.0, 1.0]))
+    ]
+    synthetic = generate(SynthSpec(model="decay_exp", n_control=3, n_treated=2, seed=0)).dataset
+    for d in (canonical, by_reader, canonical.take([1, 3]), matching, holdout, synthetic, *built):
+        assert d.treatment.dtype == bool
+    assert canonical.treatment.tolist() == by_reader.treatment.tolist() == mask
+    assert canonical.take([1, 3]).treatment.tolist() == [True, True]
+    assert synthetic.treatment.tolist() == [False] * 3 + [True] * 2 and synthetic.n_treated == 2
+    assert all(d.treatment.tolist() == [False, True] for d in built)
+    for bad in ([0, 2], [0.5, 1.0], [np.nan, 1]):
+        with pytest.raises(DataError, match="treatment"):
+            Dataset(**{**TWO_UNITS, "treatment": np.array(bad)})
 
 
 @pytest.mark.parametrize("shape", [(2,), (2, 1, 1)], ids=["1-D", "3-D"])

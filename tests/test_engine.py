@@ -24,7 +24,7 @@ from flame_match.errors import DegenerateHoldoutError, NoEstimateError, SchemaEr
 from flame_match.grouper import GroupTable
 from flame_match.quality import match_quality
 from flame_match.synth import SynthSpec, generate
-from reference_flame import variance_upper_bound
+from reference_flame import reference_flame, variance_upper_bound
 from reference_report import matchrun_to_json_dict
 
 
@@ -236,14 +236,13 @@ def test_max_levels_stop():
 def test_mq_drop_stop():
     res = generate(SynthSpec(model="decay_exp", n_control=400, n_treated=400, seed=3))
     hold = generate(SynthSpec(model="decay_exp", n_control=400, n_treated=400, seed=4))
-    run = run_flame(
-        res.dataset,
-        hold.dataset,
-        FlameConfig(stop_on_pe_blowup=False, mq_drop_threshold=-1.0),
-    )
-    assert run.stop_reason in (StopReason.MQ_DROP, StopReason.NO_UNMATCHED_DATA)
-    if run.stop_reason is StopReason.MQ_DROP:
-        assert any(lv.quality.mq >= -1.0 for lv in run.levels)
+    options = dict(stop_on_pe_blowup=False, mq_drop_threshold=-1.0)
+    run = run_flame(res.dataset, hold.dataset, FlameConfig(**options))
+    assert run.stop_reason is StopReason.MQ_DROP and len(run.levels) == 19
+    assert any(lv.quality.mq >= -1.0 for lv in run.levels)
+    ref = reference_flame(res.dataset, hold.dataset, **options)
+    assert run.stop_reason.value == ref.stop_reason
+    assert [lv.quality.mq for lv in run.levels] == ref.level_mqs
 
 
 def test_without_replacement_groups_disjoint():
