@@ -425,9 +425,11 @@ def matchrun_units_csv(run: MatchRun) -> list[str]:
         ids = run.unit_ids[rows[first]]
         # group g's kept units are ids[cuts[g]:cuts[g + 1]]
         cuts = np.concatenate(([0], np.cumsum(first)))[lv.table.offsets].tolist()
-        for sig, cate, lo, hi in zip(lv.table.signatures.tolist(), lv.cate.tolist(), cuts, cuts[1:]):
+        # every group's signature text at once: the level's codes as text, column by column
+        sigs = map("|".join, zip(*(map(str, col) for col in lv.table.signatures.T.tolist())))
+        for sig, cate, lo, hi in zip(sigs, lv.cate.tolist(), cuts, cuts[1:]):
             if hi > lo:
-                line_end = f",{lv.level},{'|'.join(map(str, sig))},{cate!r}\n"
+                line_end = f",{lv.level},{sig},{cate!r}\n"
                 pieces.append(line_end.join(map(str, ids[lo:hi].tolist())) + line_end)
     return pieces
 

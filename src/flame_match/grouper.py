@@ -4,7 +4,8 @@ Two interchangeable backends of :func:`basic_exact_match` produce the
 identical columnar :class:`GroupTable`:
 
 * ``mixed_radix``: each unit's active codes fold, most significant first,
-  into one int64 group id ordered like the signatures (:func:`_pair_ids`);
+  into one int64 group id ordered like the signatures (:func:`_pair_ids`),
+  setting aside the rows whose group has turned one-armed (:func:`_fold`);
   per-group arm counts from ``np.bincount`` then give the group table in one
   pass; and
 * ``tuple_key``: plain dict grouping on the full code tuples, kept as the
@@ -12,9 +13,9 @@ identical columnar :class:`GroupTable`:
 
 :func:`match_flags`, which scores trial drops, takes each drop's group ids
 from the prefix and suffix ranks of one :func:`drop_one_ranks` build per
-level, and flags rows through the same per-group arm counts; where those ids
-would be renumbered by sorting, it first sets aside the rows that cannot
-match.
+level. The same pruned fold builds both sweeps and records, per row, the
+depth at which its prefix and its suffix group turned one-armed; a drop
+pairs only the rows whose groups both outlive it, or none at all.
 
 :func:`mixed_radix_keys` and :func:`count_and_flag` keep the paper's
 positional-key formulation (a unit is matched iff its covariate-key count
@@ -147,6 +148,66 @@ def _pair_ids(hi: np.ndarray, n_hi: int, lo: np.ndarray, n_lo: int) -> tuple[np.
     return _renumber(ids, bound) if bound > hi.size else (ids, bound)
 
 
+# A pair step whose groups average at most this many rows counts their arms.
+_SMALL_GROUPS = 16
+# A fold goes on over its live rows alone once they are at most 1/_FEW of the
+# rows it folds, and :func:`match_flags` pairs a drop's live rows alone when
+# they are at most 1/_FEW of all rows. A sweep therefore leaves a row unranked
+# only at depths where every drop pairs its live rows alone.
+_FEW = 2
+
+
+def _fold(codes, arities, treated, suffix=False, block=None, bounds=None):
+    """Fold the ``(m, n)`` block ``codes`` into group ids, one :func:`_pair_ids` step a column, pruning one-armed rows.
+
+    The prefix fold takes the columns first to last, each the least
+    significant digit yet, and its ids after column ``k`` number
+    ``codes[:k + 1]``; the suffix fold takes them last to first, each the
+    most significant, and its ids after column ``k`` number ``codes[k:]``.
+    Those ids, and their bound, go to ``block[depth]`` and
+    ``bounds[depth]``, with ``depth`` ``k + 1`` or ``k``.
+
+    A step whose groups average at most ``_SMALL_GROUPS`` rows counts their
+    arms. Every later group of a row lies inside its group now, so once its
+    group holds one arm the row can never again be in a group holding both:
+    it is dead from that depth on. Once at most ``1/_FEW`` of the rows folded
+    are live, the fold goes on over the live rows alone, and the rows it
+    leaves get no later ids. Returns the last ids, their bound, the rows
+    they number (``None`` for all of them) and each row's death depth
+    (``m + 1`` for a prefix fold, 0 for a suffix fold, where none was seen).
+    """
+    m, n = codes.shape
+    rows, t = None, treated
+    ids, bound = np.zeros(n, dtype=np.int64), 1
+    tested, passed = [], np.zeros(n, dtype=np.min_scalar_type(m + 1))  # per row: the arm tests it passed
+    for k in range(m - 1, -1, -1) if suffix else range(m):
+        col, h = (codes[k] if rows is None else np.take(codes[k], rows)), int(arities[k])
+        ids, bound = _pair_ids(col, h, ids, bound) if suffix else _pair_ids(ids, bound, col, h)
+        depth = k if suffix else k + 1
+        if block is not None:
+            bounds[depth] = bound
+            if rows is None:
+                block[depth] = ids
+            else:
+                block[depth][rows] = ids
+        if bound * _SMALL_GROUPS < ids.size:
+            continue
+        armed = _armed(ids, bound, t)
+        tested.append(depth)
+        if rows is None:
+            passed += armed
+        else:
+            passed[rows] += armed
+        # index arrays, not the mask: masked selection branches on every row
+        live = np.flatnonzero(armed)
+        if live.size * _FEW <= ids.size:
+            rows = live if rows is None else rows[live]
+            ids, t = ids[live], t[live]
+    # a row dies at the first arm test it fails
+    death = np.take(np.array([*tested, 0 if suffix else m + 1], dtype=passed.dtype), passed)
+    return ids, bound, rows, death
+
+
 @dataclass(frozen=True)
 class DropOneRanks:
     """Group ids of every prefix and every suffix of ``active`` over one row set.
@@ -159,6 +220,13 @@ class DropOneRanks:
     dtype that holds ``n``: per-column arrays of this size fragment the heap
     between the run's long-lived objects and raise its peak RSS. ``treated``
     marks the treated rows, for every drop's arm counts.
+
+    ``prefix_death[r]`` is a depth from which row ``r``'s prefix group holds
+    one arm (``m + 1`` if none was seen), and ``suffix_death[r]`` one down to
+    which its suffix group does (0 if none was seen), so the row can match
+    when ``active[k]`` is dropped only if ``suffix_death[r] <= k <
+    prefix_death[r]``. A sweep that has set a row aside leaves its ranks
+    unwritten (zero) past its death.
     """
 
     active: tuple[int, ...]
@@ -167,44 +235,64 @@ class DropOneRanks:
     prefix_bounds: tuple[int, ...]
     suffix_bounds: tuple[int, ...]
     treated: np.ndarray
+    prefix_death: np.ndarray
+    suffix_death: np.ndarray
 
 
 def drop_one_ranks(d: Dataset, considered, active) -> DropOneRanks:
     """Prefix and suffix ranks of ``active`` over ``considered``, for scoring every single-covariate drop.
 
-    Built column by column with :func:`_pair_ids` from one ``(m, n)`` gather
-    of the stored codes, in O(n) per covariate and sweep unless a step
-    renumbers wide ids. Pass the result to :func:`match_flags` with the same
-    ``considered`` rows and the index of the covariate to drop.
+    Built by two :func:`_fold` sweeps of one ``(m, n)`` gather of the stored
+    codes, in O(n) per covariate and sweep unless a step renumbers wide ids;
+    a sweep goes on over fewer rows as their groups turn one-armed. Pass the
+    result to :func:`match_flags` with the same ``considered`` rows and the
+    index of the covariate to drop.
     """
     considered = np.asarray(considered, dtype=np.int64)
     active = check_active(active, d.n_covariates)
     codes = np.take(d.covariates.T[list(active)], considered, axis=1)
+    arities = d.arities[list(active)]
     m, n = codes.shape
-    prefix = np.zeros((m + 1, n), dtype=np.min_scalar_type(n))
-    suffix = np.zeros_like(prefix)
-    prefix_bounds, suffix_bounds = [1] * (m + 1), [1] * (m + 1)
-    for k, a in enumerate(active):
-        prefix[k + 1], prefix_bounds[k + 1] = _pair_ids(prefix[k], prefix_bounds[k], codes[k], int(d.arities[a]))
-    for k in range(m - 1, -1, -1):
-        h = int(d.arities[active[k]])
-        suffix[k], suffix_bounds[k] = _pair_ids(codes[k], h, suffix[k + 1], suffix_bounds[k + 1])
     treated = d.treatment[considered]
-    return DropOneRanks(active, prefix, suffix, tuple(prefix_bounds), tuple(suffix_bounds), treated)
+    prefix = np.zeros((m + 1, n), dtype=np.min_scalar_type(n))
+    suffix = np.zeros(prefix.shape, prefix.dtype)
+    prefix_bounds, suffix_bounds = [1] * (m + 1), [1] * (m + 1)
+    *_, prefix_death = _fold(codes, arities, treated, block=prefix, bounds=prefix_bounds)
+    *_, suffix_death = _fold(codes, arities, treated, suffix=True, block=suffix, bounds=suffix_bounds)
+    return DropOneRanks(
+        active, prefix, suffix, tuple(prefix_bounds), tuple(suffix_bounds), treated, prefix_death, suffix_death
+    )
 
 
-def _drop_sides(ranks: DropOneRanks, n_rows: int, j: int) -> tuple[np.ndarray, int, np.ndarray, int]:
-    """The prefix ranks before covariate ``j`` and the suffix ranks after it, each with its bound.
+def _drop_sides(ranks: DropOneRanks, n_rows: int, j: int):
+    """The rows that can match once covariate ``j`` is dropped, with their prefix ranks before ``j`` and suffix ranks after it.
 
-    Their pairs, through :func:`_pair_ids`, group the rows ``ranks`` was
-    built on as ``ranks.active`` without ``j`` does.
+    Returns ``(rows, hi, n_hi, lo, n_lo)``: ``rows`` indexes the ranked rows
+    (all of them, as a slice, when more than ``1/_FEW`` are live), and the
+    pairs of ``hi < n_hi`` and ``lo < n_lo``, through :func:`_pair_ids`,
+    group those rows as ``ranks.active`` without ``j`` does. A paired row
+    that cannot match lies in a one-armed prefix or suffix group, so its pair
+    group holds no row that can.
     """
     if n_rows != ranks.prefix.shape[1]:
         raise ValueError(f"ranks were built on {ranks.prefix.shape[1]} rows, not {n_rows}")
     if j not in ranks.active:
         raise ValueError(f"covariate {j} is not among the ranked {ranks.active}")
     k = ranks.active.index(j)
-    return ranks.prefix[k], ranks.prefix_bounds[k], ranks.suffix[k + 1], ranks.suffix_bounds[k + 1]
+    live = (ranks.suffix_death <= k) & (ranks.prefix_death > k)
+    rows = slice(None) if np.count_nonzero(live) * _FEW > n_rows else np.flatnonzero(live)
+    hi, lo = ranks.prefix[k][rows], ranks.suffix[k + 1][rows]
+    return rows, hi, ranks.prefix_bounds[k], lo, ranks.suffix_bounds[k + 1]
+
+
+def _armed(ids: np.ndarray, bound: int, treated: np.ndarray) -> np.ndarray:
+    """Whether each row's group, by ``ids < bound``, holds both arms."""
+    # one byte per group and arm, read two at a time: 0x0101 where both are seen
+    seen = np.zeros(2 * bound, dtype=np.uint8)
+    key = ids * 2
+    key += treated
+    seen[key] = 1
+    return np.take(seen.view(np.uint16) == 0x0101, ids)
 
 
 def _arm_counts(gid: np.ndarray, n_groups: int, treated_rows: np.ndarray):
@@ -268,21 +356,15 @@ def match_flags(d: Dataset, considered, j: int, ranks: DropOneRanks) -> np.ndarr
     rows, and the group ids come from its prefix and suffix ranks; ``d``
     itself is not read, since ``ranks`` carries the treated mask.
 
-    A drop whose pair ids would be renumbered by sorting first keeps only the
-    rows whose prefix group and suffix group each hold both arms: a
-    (prefix, suffix) group lies inside both, so no other row can match, and
-    the rows kept hold their pair groups whole.
+    Only the rows whose prefix and suffix groups both outlive the drop's
+    depth (``ranks.prefix_death`` and ``suffix_death``) can match: with none,
+    the flags are all false at once, and with few, only they are paired and
+    counted.
     """
-    hi, n_hi, lo, n_lo = _drop_sides(ranks, len(considered), j)
-    treated = ranks.treated
-    rows = slice(None)
-    if _sorts(n_hi * n_lo, treated.size):
-        # np.take: indexing with the narrow rank dtype is several times slower
-        rows = np.take(_arm_counts(hi, n_hi, treated)[2], hi) & np.take(_arm_counts(lo, n_lo, treated)[2], lo)
-    gid, n_groups = _pair_ids(hi[rows], n_hi, lo[rows], n_lo)
-    *_, valid = _arm_counts(gid, n_groups, treated[rows])
-    flags = np.zeros(treated.size, dtype=bool)
-    flags[rows] = valid[gid]
+    rows, hi, n_hi, lo, n_lo = _drop_sides(ranks, len(considered), j)
+    flags = np.zeros(ranks.treated.size, dtype=bool)
+    if hi.size:
+        flags[rows] = _armed(*_pair_ids(hi, n_hi, lo, n_lo), ranks.treated[rows])
     return flags
 
 
@@ -307,9 +389,9 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
         treated = np.array([d.treatment[rows].sum() for _, rows in groups], dtype=np.int64)
     elif backend == "mixed_radix":
         codes = np.take(d.covariates.T[list(active)], considered, axis=1)
-        gid, n_groups = np.zeros(considered.size, dtype=np.int64), 1
-        for k, a in enumerate(active):
-            gid, n_groups = _pair_ids(gid, n_groups, codes[k], int(d.arities[a]))
+        gid, n_groups, rows, _ = _fold(codes, d.arities[list(active)], d.treatment[considered])
+        if rows is not None:  # the rows the fold set aside are in no valid group
+            considered = considered[rows]
         sizes, treated, valid = _arm_counts(gid, n_groups, d.treatment[considered])
         flags = valid[gid]
         # a stable sort of the hit ids lists each group's rows in considered

@@ -86,3 +86,21 @@ def first_match_levels(run):
         for uid in run.unit_ids[lv.table.rows].tolist():
             level_of.setdefault(uid, lv.level)
     return level_of
+
+
+def imbalanced_dataset(rng, n, balanced, extra, extras_first=False):
+    """Irrelevant-style rows: ``balanced`` fair binary covariates and ``extra`` binary ones set with
+    probability 0.9 in the treated arm and 0.1 in the control arm, the extras last (or first)."""
+    treatment = rng.random(n) < 0.5
+    fair = rng.integers(0, 2, size=(n, balanced))
+    skewed = (rng.random((n, extra)) < np.where(treatment[:, None], 0.9, 0.1)).astype(np.int64)
+    covs = np.hstack([skewed, fair] if extras_first else [fair, skewed])
+    p = balanced + extra
+    return Dataset(
+        covariates=covs,
+        arities=np.full(p, 2),
+        treatment=treatment,
+        outcome=covs[:, :4] @ np.array([2.0, 1.0, 0.5, 0.25]) + treatment + rng.normal(0, 0.1, size=n),
+        covariate_names=tuple(f"c{i}" for i in range(p)),
+        unit_ids=np.arange(n),
+    )

@@ -3,12 +3,13 @@
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flame_match.engine as engine
 import flame_match.grouper as grouper
-from conftest import first_match_levels, group_tuples, random_dataset
+from conftest import first_match_levels, group_tuples, imbalanced_dataset, random_dataset
 from flame_match import dataset
 from flame_match.dataset import Dataset, DatasetSchema, load_csv
 from flame_match.engine import FlameConfig, run_flame
@@ -268,3 +269,23 @@ def test_uint32_ranks_run_matches_reference(monkeypatch):
     ref = _check_against_reference(matching, _holdout_for(matching, rng, n=400), stop_on_pe_blowup=False, max_levels=3)
     assert ref.dropped_order
     assert built[0].prefix.shape[1] > 65_535 and built[0].prefix.dtype == np.uint32
+
+
+@pytest.mark.parametrize("replacement", [False, True])
+@pytest.mark.parametrize("extras_first", [False, True])
+def test_one_armed_pruning_run_matches_reference(monkeypatch, replacement, extras_first):
+    # the skewed extras turn most rank-sweep and commit-fold groups one-armed: every level's
+    # trial and commit go on over fewer rows than they started with
+    rng = np.random.default_rng(40 + 2 * replacement + extras_first)
+    n = 2000
+    matching = imbalanced_dataset(rng, n, balanced=8, extra=8, extras_first=extras_first)
+    holdout = imbalanced_dataset(rng, 600, balanced=8, extra=8, extras_first=extras_first)
+    sizes = []
+    pair_ids = grouper._pair_ids
+    monkeypatch.setattr(grouper, "_pair_ids", lambda hi, *rest: sizes.append(hi.size) or pair_ids(hi, *rest))
+    ranks_of = engine.drop_one_ranks
+    pools = []
+    monkeypatch.setattr(engine, "drop_one_ranks", lambda d, pool, active: pools.append(len(pool)) or ranks_of(d, pool, active))
+    ref = _check_against_reference(matching, holdout, replacement=replacement, stop_on_pe_blowup=False, max_levels=4)
+    assert len(ref.dropped_order) >= 2
+    assert pools and min(sizes) < min(pools) / 2

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import flame_match.grouper as grouper
-from conftest import group_tuples, random_dataset
+from conftest import group_tuples, imbalanced_dataset, random_dataset
 from flame_match.dataset import Dataset, permute_covariates, sort_covariates_by_arity, split_holdout
 from flame_match.errors import DataError
 from flame_match.grouper import (
@@ -213,6 +213,28 @@ def _check_every_drop(d, considered, active):
     return ranks
 
 
+def _one_armed(d, rows, cols):
+    """Whether each of ``rows`` lies in a group of ``rows`` on the covariates ``cols`` that holds one arm."""
+    sigs = [tuple(r) for r in d.covariates[rows][:, list(cols)].tolist()]
+    arms = {}
+    for sig, t in zip(sigs, d.treatment[rows].tolist()):
+        arms.setdefault(sig, set()).add(t)
+    return np.array([len(arms[sig]) == 1 for sig in sigs], dtype=bool)
+
+
+def _check_deaths(d, considered, ranks):
+    """Every row a sweep set aside lies in a one-armed group at the depth it died; returns the rows each depth keeps."""
+    active, m = ranks.active, len(ranks.active)
+    pd, sd = ranks.prefix_death.astype(np.int64), ranks.suffix_death.astype(np.int64)
+    assert ranks.prefix_death.dtype == ranks.suffix_death.dtype == np.min_scalar_type(m + 1)
+    assert np.all((pd >= 1) & (pd <= m + 1)) and np.all(sd <= m)
+    for depth in range(m + 1):
+        assert np.all(_one_armed(d, considered, active[:depth])[pd == depth])
+        if depth:
+            assert np.all(_one_armed(d, considered, active[depth:])[sd == depth])
+    return [(pd >= k, sd <= k) for k in range(m + 1)]
+
+
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_drop_one_ranks_match_every_drop(seed):
@@ -223,13 +245,19 @@ def test_drop_one_ranks_match_every_drop(seed):
     considered = np.flatnonzero(rng.random(d.n_units) < rng.uniform(0.3, 1.0))
     if considered.size:
         ranks = _check_every_drop(d, considered, active)
-        # ranks are ordered exactly like the signatures they stand for, below a bound of at most max(n, 1)
+        kept = _check_deaths(d, considered, ranks)
+        # over the rows each depth keeps, ranks are ordered exactly like the signatures they stand
+        # for, below a bound of at most max(n, 1); a row set aside carries no rank past its death
         sigs = [tuple(r) for r in d.covariates[considered][:, list(active)].tolist()]
         for k in range(len(active) + 1):
-            sweeps = ((ranks.prefix, ranks.prefix_bounds, slice(0, k)), (ranks.suffix, ranks.suffix_bounds, slice(k, None)))
-            for block, bounds, part in sweeps:
-                keys, ids = [s[part] for s in sigs], block[k].tolist()
-                assert int(block[k].max()) < bounds[k] <= max(considered.size, 1)
+            sweeps = (
+                (ranks.prefix, ranks.prefix_bounds, slice(0, k), kept[k][0]),
+                (ranks.suffix, ranks.suffix_bounds, slice(k, None), kept[k][1]),
+            )
+            for block, bounds, part, rows in sweeps:
+                rows = np.flatnonzero(rows)
+                keys, ids = [sigs[u][part] for u in rows.tolist()], block[k][rows].tolist()
+                assert bounds[k] <= max(considered.size, 1) and all(i < bounds[k] for i in ids)
                 for u in range(len(keys)):
                     for v in range(len(keys)):
                         assert (ids[u] == ids[v]) == (keys[u] == keys[v]) and (ids[u] < ids[v]) == (keys[u] < keys[v])
@@ -238,22 +266,31 @@ def test_drop_one_ranks_match_every_drop(seed):
 @given(st.integers(0, 2**32 - 1))
 @settings(max_examples=60, deadline=None)
 def test_drop_one_ids_partition_like_the_commit(seed):
-    # a drop's ids from the level's ranks group the pool exactly as a fresh commit on the smaller active set
+    # a drop's ids over the rows it keeps group them exactly as a fresh commit on the smaller
+    # active set does, and every valid group of that commit lies among them
     rng = np.random.default_rng(seed)
     d = random_dataset(rng, p=int(rng.integers(2, 7)), max_arity=int(rng.integers(2, 12)))
     p = d.n_covariates
     active = tuple(sorted(rng.choice(p, size=int(rng.integers(2, p + 1)), replace=False).tolist()))
     considered = np.flatnonzero(rng.random(d.n_units) < rng.uniform(0.3, 1.0))
     ranks = drop_one_ranks(d, considered, active)
-    for j in active:
+    _check_deaths(d, considered, ranks)
+    for k, j in enumerate(active):
         cand = tuple(a for a in active if a != j)
-        gid, bound = _pair_ids(*_drop_sides(ranks, considered.size, j))
+        rows, *sides = _drop_sides(ranks, considered.size, j)
+        rows = np.arange(considered.size)[rows]
+        # a row left out lies in a one-armed prefix or suffix group of this drop
+        out = np.setdiff1d(np.arange(considered.size), rows)
+        one_armed = _one_armed(d, considered, active[:k]) | _one_armed(d, considered, active[k + 1 :])
+        assert np.all(one_armed[out])
+        gid, bound = _pair_ids(*sides)
         assert gid.dtype == np.int64 and bound <= max(considered.size, 1) and np.all(gid < bound)
-        sigs = d.covariates[considered][:, list(cand)]
+        sigs = d.covariates[considered[rows]][:, list(cand)]
         groups = [np.flatnonzero(gid == g) for g in np.unique(gid)]  # in id order
         assert len(groups) == len({tuple(r) for r in sigs.tolist()})
         assert all(len({tuple(r) for r in sigs[g].tolist()}) == 1 for g in groups)
-        valid = [considered[g].tolist() for g in groups if 0 < d.treatment[considered[g]].sum() < g.size]
+        kept = considered[rows]
+        valid = [kept[g].tolist() for g in groups if 0 < d.treatment[kept[g]].sum() < g.size]
         table = basic_exact_match(d, considered, cand, backend="tuple_key").table
         bounds = table.offsets.tolist()
         assert valid == [table.rows[lo:hi].tolist() for lo, hi in zip(bounds, bounds[1:])]
@@ -320,25 +357,28 @@ def test_compact_code_block_arity_boundaries(arity):
 
 
 def test_drop_one_ranks_wide_keys_take_the_sorting_renumber(monkeypatch):
-    # 12 arity-50 covariates over 400 rows: prefix and suffix ranks each reach
-    # ~400 distinct values, so a drop's pair key spans ~160000 > max(8n, 2**16)
+    # 12 arity-50 covariates: 700 signatures held by one row of each arm, and
+    # 1600 rows of their own, one-armed from the first sweep step that counts
+    # arms. Over the 1400 live rows a mid-depth drop's prefix and suffix ranks
+    # each reach ~700 values, so its pair key spans ~490000 > max(8n, 2**16)
     # and is renumbered by np.unique rather than by the tally, over only the
     # rows whose prefix and suffix groups each hold both arms
     rng = np.random.default_rng(50)
-    p, arity, n = 12, 50, 400
-    base = rng.integers(0, arity, size=(150, p))
-    covs = base[rng.integers(0, 150, size=n)]
-    covs[np.arange(n), rng.integers(0, p, size=n)] = rng.integers(0, arity, size=n)
+    p, arity = 12, 50
+    base = rng.integers(0, arity, size=(700, p))
+    covs = np.vstack([base, base, rng.integers(0, arity, size=(1600, p))])
+    n = len(covs)
     d = Dataset(
         covariates=covs,
         arities=np.full(p, arity),
-        treatment=rng.integers(0, 2, size=n),
+        treatment=np.concatenate([np.zeros(700), np.ones(700), rng.integers(0, 2, size=1600)]),
         outcome=np.zeros(n),
         covariate_names=tuple(f"c{i}" for i in range(p)),
         unit_ids=np.arange(n),
     )
     ranks = _check_every_drop(d, np.arange(n), tuple(range(p)))
-    wide = [j for j in range(p) if ranks.prefix_bounds[j] * ranks.suffix_bounds[j + 1] > max(8 * n, 1 << 16)]
+    live = n // 2 - 100  # 1400 rows
+    wide = [j for j in range(p) if ranks.prefix_bounds[j] * ranks.suffix_bounds[j + 1] > max(8 * live, 1 << 16)]
     assert wide
     paired = []  # rows paired by each wide drop
     monkeypatch.setattr(grouper, "_pair_ids", lambda hi, *rest: paired.append(hi.size) or _pair_ids(hi, *rest))
@@ -471,3 +511,32 @@ def test_emit_sql_runs_and_stamps_the_matched_rows(table1):
 def test_unknown_backend_rejected(table1):
     with pytest.raises(ValueError, match="unknown backend 'banana'"):
         basic_exact_match(table1, np.arange(4), (0, 1), "banana")
+
+
+@pytest.mark.parametrize("extras_first", [False, True])
+def test_one_armed_rows_leave_both_sweeps_and_the_commit_fold(monkeypatch, extras_first):
+    # skewed extras make most groups one-armed well before the sweeps end: the prefix sweep and
+    # the suffix sweep each go on over their live rows alone, and so does the commit's fold
+    rng = np.random.default_rng(30 + extras_first)
+    n = 3000
+    d = imbalanced_dataset(rng, n, balanced=10, extra=8, extras_first=extras_first)
+    considered, active = np.arange(n), tuple(range(d.n_covariates))
+    m = len(active)
+    paired = []
+    monkeypatch.setattr(grouper, "_pair_ids", lambda hi, *rest: paired.append(hi.size) or _pair_ids(hi, *rest))
+    ranks = drop_one_ranks(d, considered, active)
+    assert len(paired) == 2 * m and min(paired[:m]) < n / 2 and min(paired[m:]) < n / 2
+    paired.clear()
+    res = basic_exact_match(d, considered, active)
+    assert len(paired) == m and min(paired) < n / 2
+    assert _tables_equal(res.table, basic_exact_match(d, considered, active, backend="tuple_key").table)
+    _check_deaths(d, considered, ranks)
+    # drops at both ends pair their few live rows alone, and some drop has none to pair
+    by_drop = []
+    for j in active:
+        paired.clear()
+        flags = match_flags(d, considered, j, ranks=ranks)
+        assert np.array_equal(flags, _reference_flags(d, considered, tuple(a for a in active if a != j)))
+        by_drop.append(paired[0] if paired else 0)
+    assert 0 in by_drop and any(0 < size <= n / 2 for size in by_drop)
+    assert by_drop[0] < n / 2 and by_drop[-1] < n / 2

@@ -1,6 +1,8 @@
 import ast
 import importlib
 import inspect
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -88,3 +90,26 @@ def test_perfbench_rebinds_callables_that_exist():
         assert callable(getattr(importlib.import_module(module), attr, None)), f"{module}.{attr}"
     # its trial-row count reads match_flags' second positional argument
     assert list(inspect.signature(match_flags).parameters)[1] == "considered"
+
+
+def test_a_falsified_hypothesis_test_does_not_end_the_session(tmp_path):
+    # explaining a falsified example imports libcst, whose import warns through
+    # mypy_extensions; under pyproject's error::DeprecationWarning that warning
+    # must not turn the failure into an INTERNALERROR that skips every later test
+    root = Path(__file__).resolve().parents[1]
+    probe = tmp_path / "test_probe.py"
+    probe.write_text(
+        "from hypothesis import given, strategies as st\n\n\n"
+        "@given(st.integers())\n"
+        "def test_falsified(x):\n"
+        "    assert x < 5\n\n\n"
+        "def test_later():\n"
+        "    pass\n",
+        encoding="utf-8",
+    )
+    config = ["-c", str(root / "pyproject.toml"), "--rootdir", str(tmp_path), "-p", "no:cacheprovider"]
+    done = subprocess.run(
+        [sys.executable, "-m", "pytest", *config, "-q", str(probe)], cwd=tmp_path, capture_output=True, text=True
+    )
+    assert done.returncode == 1, done.stdout + done.stderr
+    assert "1 failed, 1 passed" in done.stdout
