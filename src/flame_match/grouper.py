@@ -225,8 +225,8 @@ class DropOneRanks:
     one arm (``m + 1`` if none was seen), and ``suffix_death[r]`` one down to
     which its suffix group does (0 if none was seen), so the row can match
     when ``active[k]`` is dropped only if ``suffix_death[r] <= k <
-    prefix_death[r]``. A sweep that has set a row aside leaves its ranks
-    unwritten (zero) past its death.
+    prefix_death[r]``. A sweep that has set a row aside, at or past its
+    death, leaves its later ranks unwritten (zero).
     """
 
     active: tuple[int, ...]
