@@ -351,14 +351,65 @@ def _json_array(items, indent: int) -> str:
     return f"[{pad}{body}\n{' ' * indent}]" if body else "[]"
 
 
+def _float_texts(values: np.ndarray):
+    """Each value's JSON text: ``float.__repr__`` when all of them are finite, ``json.dumps`` (``NaN``, ``Infinity``) otherwise.
+
+    ``json.dumps`` writes a finite float with ``float.__repr__`` itself, so the
+    two give the same text; the fast path only skips the encoder per value.
+    """
+    return map(float.__repr__ if np.isfinite(values).all() else json.dumps, values.tolist())
+
+
+# a JSON array's items, 12 spaces in as ``json.dumps(indent=2)`` lays out a group's arrays
+_ITEM = ",\n            "
+
+
+def _group_pieces(run: MatchRun, lv: LevelRecord, encode_id) -> list[str]:
+    """One piece per group of ``lv``, each formatted by one f-string template; the first has no leading comma.
+
+    Each text is built once per column of the level: its signature codes
+    through a lookup of the level's distinct codes, its unit ids from one
+    ``tolist``, and its floats by :func:`_float_texts`. Only Python ints are
+    held for the whole level; their texts are joined group by group.
+    """
+    t = lv.table
+    texts = {code: str(code) for code in np.unique(t.signatures).tolist()}
+    sigs = map(_ITEM.join, zip(*(map(texts.__getitem__, col) for col in t.signatures.T.tolist())))
+    ids = run.unit_ids[t.rows].tolist()
+    bounds = t.offsets.tolist()
+    units = (_ITEM.join(map(encode_id, ids[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
+    groups = zip(
+        sigs,
+        units,
+        t.n_treated.tolist(),
+        t.n_control.tolist(),
+        _float_texts(lv.cate),
+        _float_texts(lv.variance_upper_bound),
+    )
+    # one f-string builds its text at its final size, about 3x cheaper than a % template
+    pieces = [
+        f',\n        {{\n          "signature": [\n            {sig}\n          ],\n'
+        f'          "unit_ids": [\n            {unit_ids}\n          ],\n'
+        f'          "n_treated": {n_t},\n          "n_control": {n_c},\n'
+        f'          "cate": {cate},\n          "variance_upper_bound": {vub}\n        }}'
+        for sig, unit_ids, n_t, n_c, cate, vub in groups
+    ]
+    pieces[0] = pieces[0][1:]
+    return pieces
+
+
 def matchrun_to_json(run: MatchRun) -> list[str]:
     """Full machine-readable run report, laid out as ``json.dumps(indent=2)`` lays out its dict, as pieces to concatenate.
 
     The small blocks go through ``json.dumps`` and are re-indented, and each
-    group is written as one piece, so no Python object per unit outlives its
-    level and the pieces are never joined. The text has no final newline.
-    Integer ids are written with ``str``; other ids and every float go through
-    ``json.dumps``, which keeps ``repr``, ``NaN`` and ``Infinity``.
+    group is written as one piece by :func:`_group_pieces`, so no Python
+    object per unit outlives its level and the pieces are never joined. The
+    text has no final newline. Integer ids are written with ``str`` and
+    other ids with ``json.dumps``. A level's ``cate`` and
+    ``variance_upper_bound`` are written with ``float.__repr__`` when the
+    level's array is all finite and with ``json.dumps`` (which writes ``NaN``
+    and ``Infinity``) otherwise; every other float goes through
+    ``json.dumps``, which writes a finite float as ``repr`` does.
     """
     try:
         ate = estimate_ate(run)
@@ -370,35 +421,19 @@ def matchrun_to_json(run: MatchRun) -> list[str]:
     # the head's closing brace gives way to the levels
     pieces = [json.dumps(head, indent=2)[:-2], ',\n  "levels": ', "[" if run.levels else "[]"]
     for i, lv in enumerate(run.levels):
-        t = lv.table
         active = json.dumps([names[a] for a in lv.active], indent=2).replace("\n", "\n      ")
         pe, bf, mq = map(json.dumps, (lv.quality.pe, lv.quality.bf, lv.quality.mq))
         pieces.append(
             ("," if i else "")
             + f'\n    {{\n      "level": {lv.level},\n      "active": {active},\n'
             + f'      "pe": {pe},\n      "bf": {bf},\n      "mq": {mq},\n      "groups": '
-            + ("[" if len(t) else "[]")
+            + ("[" if len(lv.table) else "[]")
         )
-        ids = run.unit_ids[t.rows].tolist()
-        bounds = t.offsets.tolist()
-        groups = zip(
-            t.signatures.tolist(),
-            bounds,
-            bounds[1:],
-            t.n_treated.tolist(),
-            t.n_control.tolist(),
-            lv.cate.tolist(),
-            lv.variance_upper_bound.tolist(),
-        )
-        for g, (sig, lo, hi, n_t, n_c, cate, vub) in enumerate(groups):
-            pieces.append(
-                ("," if g else "")
-                + f'\n        {{\n          "signature": {_json_array(map(str, sig), 10)},\n'
-                + f'          "unit_ids": {_json_array(map(encode_id, ids[lo:hi]), 10)},\n'
-                + f'          "n_treated": {n_t},\n          "n_control": {n_c},\n'
-                + f'          "cate": {json.dumps(cate)},\n          "variance_upper_bound": {json.dumps(vub)}\n        }}'
-            )
-        pieces.append("\n      ]\n    }" if len(t) else "\n    }")
+        if len(lv.table):
+            pieces += _group_pieces(run, lv, encode_id)
+            pieces.append("\n      ]\n    }")
+        else:
+            pieces.append("\n    }")
     pieces.append(
         ("\n  ]" if run.levels else "")
         + f',\n  "ate": {json.dumps(ate)},\n  "stop_reason": {json.dumps(run.stop_reason.value)},\n'

@@ -164,17 +164,18 @@ def _fold(codes, arities, treated, suffix=False, block=None, bounds=None):
     significant digit yet, and its ids after column ``k`` number
     ``codes[:k + 1]``; the suffix fold takes them last to first, each the
     most significant, and its ids after column ``k`` number ``codes[k:]``.
-    Those ids, and their bound, go to ``block[depth]`` and
-    ``bounds[depth]``, with ``depth`` ``k + 1`` or ``k``.
+    Those ids, and their bound, go to ``block[row]`` and ``bounds[row]``,
+    with ``row`` ``k + 1`` or ``k``.
 
     A step whose groups average at most ``_SMALL_GROUPS`` rows counts their
     arms. Every later group of a row lies inside its group now, so once its
     group holds one arm the row can never again be in a group holding both:
-    it is dead from that depth on. Once at most ``1/_FEW`` of the rows folded
-    are live, the fold goes on over the live rows alone, and the rows it
-    leaves get no later ids. Returns the last ids, their bound, the rows
-    they number (``None`` for all of them) and each row's death depth
-    (``m + 1`` for a prefix fold, 0 for a suffix fold, where none was seen).
+    it is dead from that step on, and its death depth is ``k + 1``. Once at
+    most ``1/_FEW`` of the rows folded are live, the fold goes on over the
+    live rows alone, and the rows it leaves get no later ids. Returns the
+    last ids, their bound, the rows they number (``None`` for all of them)
+    and each row's death depth (``m + 1`` for a prefix fold, 0 for a suffix
+    fold, where none was seen).
     """
     m, n = codes.shape
     rows, t = None, treated
@@ -183,17 +184,17 @@ def _fold(codes, arities, treated, suffix=False, block=None, bounds=None):
     for k in range(m - 1, -1, -1) if suffix else range(m):
         col, h = (codes[k] if rows is None else np.take(codes[k], rows)), int(arities[k])
         ids, bound = _pair_ids(col, h, ids, bound) if suffix else _pair_ids(ids, bound, col, h)
-        depth = k if suffix else k + 1
         if block is not None:
-            bounds[depth] = bound
+            row = k if suffix else k + 1
+            bounds[row] = bound
             if rows is None:
-                block[depth] = ids
+                block[row] = ids
             else:
-                block[depth][rows] = ids
+                block[row][rows] = ids
         if bound * _SMALL_GROUPS < ids.size:
             continue
         armed = _armed(ids, bound, t)
-        tested.append(depth)
+        tested.append(k + 1)
         if rows is None:
             passed += armed
         else:
@@ -210,20 +211,23 @@ def _fold(codes, arities, treated, suffix=False, block=None, bounds=None):
 
 @dataclass(frozen=True)
 class DropOneRanks:
-    """Group ids of every prefix and every suffix of ``active`` over one row set.
+    """Group ids of the prefix before and the suffix after each covariate of ``active``, over one row set.
 
     ``prefix[k]`` numbers each row's codes on ``active[:k]`` and ``suffix[k]``
-    on ``active[k:]``, both ordered like the codes; ``prefix_bounds[k]`` and
-    ``suffix_bounds[k]`` bound them, at most ``max(n, 1)``. Dropping
-    ``active[k]`` leaves the signature ``(prefix[k], suffix[k + 1])``. Each
-    sweep is one contiguous ``(m + 1, n)`` block in the smallest unsigned
-    dtype that holds ``n``: per-column arrays of this size fragment the heap
-    between the run's long-lived objects and raise its peak RSS. ``treated``
-    marks the treated rows, for every drop's arm counts.
+    on ``active[k + 1:]``, both ordered like the codes; ``prefix_bounds[k]``
+    and ``suffix_bounds[k]`` bound them, at most ``max(n, 1)``. Dropping
+    ``active[k]`` reads row ``k`` of both blocks: it leaves the signature
+    ``(prefix[k], suffix[k])``. No drop reads the full signature, so neither
+    sweep builds it. Each sweep is one contiguous ``(m, n)`` block in the
+    smallest unsigned dtype that holds ``n``: per-column arrays of this size
+    fragment the heap between the run's long-lived objects and raise its
+    peak RSS. ``treated`` marks the treated rows, for every drop's arm
+    counts.
 
     ``prefix_death[r]`` is a depth from which row ``r``'s prefix group holds
-    one arm (``m + 1`` if none was seen), and ``suffix_death[r]`` one down to
-    which its suffix group does (0 if none was seen), so the row can match
+    one arm, on ``active[:prefix_death[r]]`` (``m`` if none was seen), and
+    ``suffix_death[r]`` one down to which its suffix group does, on
+    ``active[suffix_death[r]:]`` (0 if none was seen), so the row can match
     when ``active[k]`` is dropped only if ``suffix_death[r] <= k <
     prefix_death[r]``. A sweep that has set a row aside, at or past its
     death, leaves its later ranks unwritten (zero).
@@ -244,9 +248,10 @@ def drop_one_ranks(d: Dataset, considered, active) -> DropOneRanks:
 
     Built by two :func:`_fold` sweeps of one ``(m, n)`` gather of the stored
     codes, in O(n) per covariate and sweep unless a step renumbers wide ids;
-    a sweep goes on over fewer rows as their groups turn one-armed. Pass the
-    result to :func:`match_flags` with the same ``considered`` rows and the
-    index of the covariate to drop.
+    the prefix sweep folds all but the last column and the suffix sweep all
+    but the first, and a sweep goes on over fewer rows as their groups turn
+    one-armed. Pass the result to :func:`match_flags` with the same
+    ``considered`` rows and the index of the covariate to drop.
     """
     considered = np.asarray(considered, dtype=np.int64)
     active = check_active(active, d.n_covariates)
@@ -254,11 +259,13 @@ def drop_one_ranks(d: Dataset, considered, active) -> DropOneRanks:
     arities = d.arities[list(active)]
     m, n = codes.shape
     treated = d.treatment[considered]
-    prefix = np.zeros((m + 1, n), dtype=np.min_scalar_type(n))
+    prefix = np.zeros((m, n), dtype=np.min_scalar_type(n))
     suffix = np.zeros(prefix.shape, prefix.dtype)
-    prefix_bounds, suffix_bounds = [1] * (m + 1), [1] * (m + 1)
-    *_, prefix_death = _fold(codes, arities, treated, block=prefix, bounds=prefix_bounds)
-    *_, suffix_death = _fold(codes, arities, treated, suffix=True, block=suffix, bounds=suffix_bounds)
+    prefix_bounds, suffix_bounds = [1] * m, [1] * m
+    # the suffix fold's column k is active[k + 1]: its ids number active[k + 1:] and go to suffix[k],
+    # and a row it finds one-armed there dies at depth k + 1, the suffix's first index in active
+    *_, prefix_death = _fold(codes[:-1], arities[:-1], treated, block=prefix, bounds=prefix_bounds)
+    *_, suffix_death = _fold(codes[1:], arities[1:], treated, suffix=True, block=suffix, bounds=suffix_bounds)
     return DropOneRanks(
         active, prefix, suffix, tuple(prefix_bounds), tuple(suffix_bounds), treated, prefix_death, suffix_death
     )
@@ -281,8 +288,8 @@ def _drop_sides(ranks: DropOneRanks, n_rows: int, j: int):
     k = ranks.active.index(j)
     live = (ranks.suffix_death <= k) & (ranks.prefix_death > k)
     rows = slice(None) if np.count_nonzero(live) * _FEW > n_rows else np.flatnonzero(live)
-    hi, lo = ranks.prefix[k][rows], ranks.suffix[k + 1][rows]
-    return rows, hi, ranks.prefix_bounds[k], lo, ranks.suffix_bounds[k + 1]
+    hi, lo = ranks.prefix[k][rows], ranks.suffix[k][rows]
+    return rows, hi, ranks.prefix_bounds[k], lo, ranks.suffix_bounds[k]
 
 
 def _armed(ids: np.ndarray, bound: int, treated: np.ndarray) -> np.ndarray:
@@ -306,9 +313,10 @@ def _arm_counts(gid: np.ndarray, n_groups: int, treated_rows: np.ndarray):
 class GroupTable:
     """Valid matched groups as columns, sorted lexicographically by signature.
 
-    The ``i``-th group has the int64 codes ``signatures[i]`` on ``active`` and
-    the member rows ``rows[offsets[i]:offsets[i + 1]]``, in considered order,
-    of which ``n_treated[i]`` are treated and ``n_control[i]`` control.
+    The ``i``-th group has the codes ``signatures[i]`` on ``active``, in the
+    store's dtype, and the member rows ``rows[offsets[i]:offsets[i + 1]]``,
+    in considered order, of which ``n_treated[i]`` are treated and
+    ``n_control[i]`` control; the other columns are int64.
     """
 
     active: tuple[int, ...]
@@ -383,7 +391,7 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
         for pos, sig in zip(considered.tolist(), codes):
             buckets.setdefault(tuple(sig), []).append(pos)
         groups = [(sig, rows) for sig, rows in sorted(buckets.items()) if 0 < d.treatment[rows].sum() < len(rows)]
-        signatures = np.array([sig for sig, _ in groups], dtype=np.int64).reshape(-1, len(active))
+        signatures = np.array([sig for sig, _ in groups], dtype=d.covariates.dtype).reshape(-1, len(active))
         members = np.array([r for _, rows in groups for r in rows], dtype=np.int64)
         sizes = np.array([len(rows) for _, rows in groups], dtype=np.int64)
         treated = np.array([d.treatment[rows].sum() for _, rows in groups], dtype=np.int64)
@@ -400,7 +408,7 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
         members = hit[np.argsort(gid[flags], kind="stable")]
         ids = np.flatnonzero(valid)
         sizes, treated = sizes[ids], treated[ids]
-        signatures = d.covariates[np.ix_(members[np.cumsum(sizes) - sizes], active)].astype(np.int64)
+        signatures = d.covariates[np.ix_(members[np.cumsum(sizes) - sizes], active)]
     else:
         raise ValueError(f"unknown backend {backend!r}")
 

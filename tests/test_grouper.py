@@ -133,10 +133,12 @@ def _reference_flags(d, considered, active):
     return np.isin(considered, basic_exact_match(d, considered, active, backend="tuple_key").matched)
 
 
-def _tables_equal(a, b):
+def _tables_equal(d, a, b):
+    """Equal tables: signatures in ``d``'s store dtype on both, every other column int64."""
     columns = ("signatures", "offsets", "rows", "n_treated", "n_control")
     return a.active == b.active and all(
-        getattr(a, c).dtype == getattr(b, c).dtype == np.int64 and np.array_equal(getattr(a, c), getattr(b, c))
+        getattr(a, c).dtype == getattr(b, c).dtype == (d.covariates.dtype if c == "signatures" else np.int64)
+        and np.array_equal(getattr(a, c), getattr(b, c))
         for c in columns
     )
 
@@ -151,7 +153,7 @@ def test_backend_equivalence_random():
         considered = np.flatnonzero(rng.random(d.n_units) < 0.8)
         res_a = basic_exact_match(d, considered, active, backend="mixed_radix")
         res_b = basic_exact_match(d, considered, active, backend="tuple_key")
-        assert _tables_equal(res_a.table, res_b.table)
+        assert _tables_equal(d, res_a.table, res_b.table)
         assert np.array_equal(res_a.matched, res_b.matched)
         if len(active) >= 2:
             _check_every_drop(d, considered, active)
@@ -176,7 +178,7 @@ def test_big_key_fallback_matches_tuple_backend():
     assert keys.b.dtype == object
     res_a = basic_exact_match(d, np.arange(n), active, backend="mixed_radix")
     res_b = basic_exact_match(d, np.arange(n), active, backend="tuple_key")
-    assert _tables_equal(res_a.table, res_b.table)
+    assert _tables_equal(d, res_a.table, res_b.table)
     _check_every_drop(d, np.arange(n), active)
 
 
@@ -198,7 +200,7 @@ def test_renumbering_matches_tuple_backend(p, arity):
     considered, active = np.arange(n), tuple(range(p))
     res_a = basic_exact_match(d, considered, active, backend="mixed_radix")
     res_b = basic_exact_match(d, considered, active, backend="tuple_key")
-    assert len(res_a.table) > 0 and _tables_equal(res_a.table, res_b.table)
+    assert len(res_a.table) > 0 and _tables_equal(d, res_a.table, res_b.table)
     assert np.array_equal(res_a.matched, res_b.matched)
     _check_every_drop(d, considered, active)
 
@@ -223,16 +225,22 @@ def _one_armed(d, rows, cols):
 
 
 def _check_deaths(d, considered, ranks):
-    """Every row a sweep set aside lies in a one-armed group at the depth it died; returns the rows each depth keeps."""
+    """Every row a sweep set aside lies in a one-armed group at the depth it died; returns the rows each block row keeps.
+
+    Each sweep folds ``m - 1`` columns, so a prefix death lies in ``1..m - 1``
+    (``m`` if none was seen) and a suffix death in ``1..m - 1`` (0 if none).
+    Row ``k`` of the prefix block is written for the rows not set aside before
+    it, ``prefix_death >= k``, and row ``k`` of the suffix block, which numbers
+    ``active[k + 1:]``, for ``suffix_death <= k + 1``.
+    """
     active, m = ranks.active, len(ranks.active)
     pd, sd = ranks.prefix_death.astype(np.int64), ranks.suffix_death.astype(np.int64)
-    assert ranks.prefix_death.dtype == ranks.suffix_death.dtype == np.min_scalar_type(m + 1)
-    assert np.all((pd >= 1) & (pd <= m + 1)) and np.all(sd <= m)
-    for depth in range(m + 1):
+    assert ranks.prefix_death.dtype == ranks.suffix_death.dtype == np.min_scalar_type(m)
+    assert np.all((pd >= 1) & (pd <= m)) and np.all(sd < m)
+    for depth in range(1, m):
         assert np.all(_one_armed(d, considered, active[:depth])[pd == depth])
-        if depth:
-            assert np.all(_one_armed(d, considered, active[depth:])[sd == depth])
-    return [(pd >= k, sd <= k) for k in range(m + 1)]
+        assert np.all(_one_armed(d, considered, active[depth:])[sd == depth])
+    return [(pd >= k, sd <= k + 1) for k in range(m)]
 
 
 @given(st.integers(0, 2**32 - 1))
@@ -246,13 +254,15 @@ def test_drop_one_ranks_match_every_drop(seed):
     if considered.size:
         ranks = _check_every_drop(d, considered, active)
         kept = _check_deaths(d, considered, ranks)
-        # over the rows each depth keeps, ranks are ordered exactly like the signatures they stand
-        # for, below a bound of at most max(n, 1); a row set aside carries no rank past its death
+        # over the rows each block row keeps, ranks are ordered exactly like the signatures they stand
+        # for, below a bound of at most max(n, 1); a row set aside carries no rank past its death.
+        # Both blocks hold one row per drop: the prefix before active[k] and the suffix after it
         sigs = [tuple(r) for r in d.covariates[considered][:, list(active)].tolist()]
-        for k in range(len(active) + 1):
+        assert ranks.prefix.shape == ranks.suffix.shape == (len(active), considered.size)
+        for k in range(len(active)):
             sweeps = (
                 (ranks.prefix, ranks.prefix_bounds, slice(0, k), kept[k][0]),
-                (ranks.suffix, ranks.suffix_bounds, slice(k, None), kept[k][1]),
+                (ranks.suffix, ranks.suffix_bounds, slice(k + 1, None), kept[k][1]),
             )
             for block, bounds, part, rows in sweeps:
                 rows = np.flatnonzero(rows)
@@ -350,7 +360,7 @@ def test_compact_code_block_arity_boundaries(arity):
     for active in ((0, 1, 2, 3), (1, 3), (1,), (0, 2)):
         res_a = basic_exact_match(d, considered, active, backend="mixed_radix")
         res_b = basic_exact_match(d, considered, active, backend="tuple_key")
-        assert _tables_equal(res_a.table, res_b.table)
+        assert _tables_equal(d, res_a.table, res_b.table)
         if len(active) >= 2:
             _check_every_drop(d, considered, active)
     assert len(basic_exact_match(d, considered, (1, 3)).table) > 0
@@ -378,7 +388,7 @@ def test_drop_one_ranks_wide_keys_take_the_sorting_renumber(monkeypatch):
     )
     ranks = _check_every_drop(d, np.arange(n), tuple(range(p)))
     live = n // 2 - 100  # 1400 rows
-    wide = [j for j in range(p) if ranks.prefix_bounds[j] * ranks.suffix_bounds[j + 1] > max(8 * live, 1 << 16)]
+    wide = [j for j in range(p) if ranks.prefix_bounds[j] * ranks.suffix_bounds[j] > max(8 * live, 1 << 16)]
     assert wide
     paired = []  # rows paired by each wide drop
     monkeypatch.setattr(grouper, "_pair_ids", lambda hi, *rest: paired.append(hi.size) or _pair_ids(hi, *rest))
@@ -525,11 +535,12 @@ def test_one_armed_rows_leave_both_sweeps_and_the_commit_fold(monkeypatch, extra
     paired = []
     monkeypatch.setattr(grouper, "_pair_ids", lambda hi, *rest: paired.append(hi.size) or _pair_ids(hi, *rest))
     ranks = drop_one_ranks(d, considered, active)
-    assert len(paired) == 2 * m and min(paired[:m]) < n / 2 and min(paired[m:]) < n / 2
+    # each sweep folds every column but its last, which no drop reads
+    assert len(paired) == 2 * (m - 1) and min(paired[: m - 1]) < n / 2 and min(paired[m - 1 :]) < n / 2
     paired.clear()
     res = basic_exact_match(d, considered, active)
     assert len(paired) == m and min(paired) < n / 2
-    assert _tables_equal(res.table, basic_exact_match(d, considered, active, backend="tuple_key").table)
+    assert _tables_equal(d, res.table, basic_exact_match(d, considered, active, backend="tuple_key").table)
     _check_deaths(d, considered, ranks)
     # drops at both ends pair their few live rows alone, and some drop has none to pair
     by_drop = []

@@ -13,6 +13,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from flame_match.dataset import Dataset, DatasetSchema, load_csv, split_holdout
 from flame_match.engine import FlameConfig, LevelRecord, MatchRun, StopReason, matchrun_to_json, matchrun_units_csv, run_flame
@@ -90,14 +92,36 @@ def test_levels_without_groups(replacement):
     assert_reports_match(run)
 
 
-def _level(level, active, groups, cates):
+@pytest.mark.parametrize("backend", ["mixed_radix", "tuple_key"])
+@pytest.mark.parametrize("replacement", [False, True])
+def test_uint16_store(backend, replacement):
+    # an arity-300 covariate puts the store in uint16, and its codes 256 and up reach the
+    # signatures, which keep the store's dtype, and the JSON writer's lookup of a level's codes
+    rng = np.random.default_rng(16)
+    n = 1200
+    wide = rng.choice([0, 7, 255, 256, 299], size=n)
+    narrow = rng.integers(0, 2, size=(n, 3))
+    t = rng.integers(0, 2, size=n)
+    covs = np.column_stack([narrow, wide])
+    outcome = narrow @ [1.0, 0.5, 0.0] + 0.01 * wide + t + rng.normal(0, 0.1, size=n)
+    d = Dataset(covs, [2, 2, 2, 300], t, outcome, ("a", "b", "c", "w"), np.arange(n))
+    assert d.covariates.dtype == np.uint16
+    matching, holdout = split_holdout(d, 0.2, 3)
+    run = run_flame(matching, holdout, FlameConfig(replacement=replacement, backend=backend, stop_on_pe_blowup=False))
+    assert all(lv.table.signatures.dtype == np.uint16 for lv in run.levels)
+    assert run.levels[0].table.signatures[:, 3].max() == 299
+    assert_reports_match(run)
+
+
+def _level(level, active, groups, cates, bounds=None):
     """A hand-built level whose groups hold the given member rows; even rows are treated."""
     rows = np.array([r for g in groups for r in g], dtype=np.int64)
     sizes = np.array([len(g) for g in groups])
     n_treated = np.array([sum(r % 2 == 0 for r in g) for g in groups])
     signatures = np.array([[k] * len(active) for k in range(len(groups))], dtype=np.int64)
     table = GroupTable(active, signatures, np.concatenate(([0], np.cumsum(sizes))), rows, n_treated, sizes - n_treated)
-    return LevelRecord(level, active, match_quality(1.0, 0.5, 0.1), table, np.array(cates), np.zeros(len(groups)))
+    vub = np.zeros(len(groups)) if bounds is None else np.array(bounds)
+    return LevelRecord(level, active, match_quality(1.0, 0.5, 0.1), table, np.array(cates), vub)
 
 
 def test_rows_recurring_in_three_levels():
@@ -128,6 +152,35 @@ def test_non_finite_floats():
         assert_reports_match(run)
 
 
+@pytest.mark.parametrize("bad", [np.inf, -np.inf, np.nan])
+def test_one_non_finite_array_in_a_level(bad):
+    # each of a level's float arrays is checked on its own: here the CATEs are finite and take
+    # the repr path, while the bounds hold one non-finite value and all go through json.dumps
+    levels = (
+        _level(1, (0, 1), [[0, 1], [2, 3]], [0.1, -2.5e-7], [bad, 1e16]),
+        _level(2, (0,), [[4, 5, 6]], [3.0], [5e-324]),
+        _level(3, (1,), [[6, 7]], [bad], [-0.0]),
+    )
+    ids = np.arange(20, 28)
+    run = MatchRun(FlameConfig(replacement=True), ("a", "b"), (1,), levels, StopReason.NO_COVARIATES_LEFT, ids, ids[7:])
+    report = "".join(matchrun_to_json(run))
+    assert '"cate": 0.1,' in report and '"variance_upper_bound": 1e+16\n' in report
+    assert ("NaN" if np.isnan(bad) else "Infinity") in report
+    assert_reports_match(run)
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+@example(-0.0)
+@example(5e-324)
+@example(2.2250738585072014e-308 / 3)
+@example(1e16)
+@example(1e-7)
+@example(0.1 + 0.2)
+def test_finite_float_repr_is_its_json_text(x):
+    # the JSON writer's fast path writes a level's all-finite floats with float.__repr__
+    assert float.__repr__(x) == json.dumps(x)
+
+
 def _traced_peak(writer, run):
     """The writer's joined report and the peak of the memory traced while it ran, above what was traced before."""
     tracing = tracemalloc.is_tracing()
@@ -147,8 +200,8 @@ def _traced_peak(writer, run):
 def test_writers_hold_no_object_per_unit(replacement):
     # a writer that keeps one Python object per unit (a dict tree, a line per
     # unit) peaks above 5x its report's length on this run; the group-by-group
-    # writers, which return their pieces unjoined, peak at 1.6-1.8x (JSON) and
-    # 2.2-2.7x (units CSV)
+    # writers, which return their pieces unjoined, peak at 1.4-1.7x (JSON) and
+    # 2.1-2.4x (units CSV)
     matching, holdout = split_holdout(
         generate(SynthSpec(model="decay_exp", n_control=2000, n_treated=2000, seed=7)).dataset, 0.1, 0
     )
