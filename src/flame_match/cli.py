@@ -218,10 +218,7 @@ def main(argv=None) -> int:
             return EXIT_RUNTIME
         print(f"usage error: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    except FlameError as exc:
-        print(f"data error: {exc}", file=sys.stderr)
-        return EXIT_DATA
-    except OSError as exc:
+    except (FlameError, OSError) as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except Exception as exc:  # pragma: no cover - defensive

@@ -228,6 +228,8 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
 
     active = list(range(p))
     pe_full = prediction_error(holdout, active)
+    # pe_full and epsilon are fixed for the run, so is the PE that stops it
+    pe_threshold = pe_full * (1.0 + config.epsilon) if config.pe_blowup_mode == "relative" else pe_full + config.epsilon
     unmatched = np.ones(n, dtype=bool)
     all_rows = np.arange(n)
     levels: list[LevelRecord] = []
@@ -269,14 +271,9 @@ def run_flame(matching: Dataset, holdout: Dataset, config: FlameConfig | None = 
 
         pe = quality.pe
         del ranks  # free the rank blocks before the commit allocates its own arrays
-        if config.stop_on_pe_blowup:
-            if config.pe_blowup_mode == "relative":
-                threshold = pe_full * (1.0 + config.epsilon)
-            else:
-                threshold = pe_full + config.epsilon
-            if pe > threshold:
-                stop = StopReason.PE_BLOWUP
-                break
+        if config.stop_on_pe_blowup and pe > pe_threshold:
+            stop = StopReason.PE_BLOWUP
+            break
         if config.mq_drop_threshold is not None:
             thr = config.mq_drop_threshold
             if quality.mq < thr and any(lv.quality.mq >= thr for lv in levels):
@@ -364,22 +361,26 @@ def _float_texts(values: np.ndarray):
 _ITEM = ",\n            "
 
 
+def _signature_texts(signatures: np.ndarray, sep: str):
+    """Each signature's codes as text, joined by ``sep``, through one ``str`` call per distinct code."""
+    texts = {code: str(code) for code in np.unique(signatures).tolist()}
+    return map(sep.join, zip(*(map(texts.__getitem__, col) for col in signatures.T.tolist())))
+
+
 def _group_pieces(run: MatchRun, lv: LevelRecord, encode_id) -> list[str]:
     """One piece per group of ``lv``, each formatted by one f-string template; the first has no leading comma.
 
-    Each text is built once per column of the level: its signature codes
-    through a lookup of the level's distinct codes, its unit ids from one
-    ``tolist``, and its floats by :func:`_float_texts`. Only Python ints are
-    held for the whole level; their texts are joined group by group.
+    Each text is built once per column of the level: its signature codes by
+    :func:`_signature_texts`, its unit ids from one ``tolist``, and its
+    floats by :func:`_float_texts`. Only Python ints are held for the whole
+    level; their texts are joined group by group.
     """
     t = lv.table
-    texts = {code: str(code) for code in np.unique(t.signatures).tolist()}
-    sigs = map(_ITEM.join, zip(*(map(texts.__getitem__, col) for col in t.signatures.T.tolist())))
     ids = run.unit_ids[t.rows].tolist()
     bounds = t.offsets.tolist()
     units = (_ITEM.join(map(encode_id, ids[lo:hi])) for lo, hi in zip(bounds, bounds[1:]))
     groups = zip(
-        sigs,
+        _signature_texts(t.signatures, _ITEM),
         units,
         t.n_treated.tolist(),
         t.n_control.tolist(),
@@ -460,9 +461,7 @@ def matchrun_units_csv(run: MatchRun) -> list[str]:
         ids = run.unit_ids[rows[first]]
         # group g's kept units are ids[cuts[g]:cuts[g + 1]]
         cuts = np.concatenate(([0], np.cumsum(first)))[lv.table.offsets].tolist()
-        # every group's signature text at once: the level's codes as text, column by column
-        sigs = map("|".join, zip(*(map(str, col) for col in lv.table.signatures.T.tolist())))
-        for sig, cate, lo, hi in zip(sigs, lv.cate.tolist(), cuts, cuts[1:]):
+        for sig, cate, lo, hi in zip(_signature_texts(lv.table.signatures, "|"), lv.cate.tolist(), cuts, cuts[1:]):
             if hi > lo:
                 line_end = f",{lv.level},{sig},{cate!r}\n"
                 pieces.append(line_end.join(map(str, ids[lo:hi].tolist())) + line_end)

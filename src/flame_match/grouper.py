@@ -157,6 +157,14 @@ _SMALL_GROUPS = 16
 _FEW = 2
 
 
+def _pool(d: Dataset, considered, active):
+    """The pool's int64 rows, the checked ``active``, their ``(m, n)`` code block, the arities and the treated mask."""
+    considered = np.asarray(considered, dtype=np.int64)
+    active = check_active(active, d.n_covariates)
+    cols = list(active)
+    return considered, active, np.take(d.covariates.T[cols], considered, axis=1), d.arities[cols], d.treatment[considered]
+
+
 def _fold(codes, arities, treated, suffix=False, block=None, bounds=None):
     """Fold the ``(m, n)`` block ``codes`` into group ids, one :func:`_pair_ids` step a column, pruning one-armed rows.
 
@@ -173,36 +181,30 @@ def _fold(codes, arities, treated, suffix=False, block=None, bounds=None):
     it is dead from that step on, and its death depth is ``k + 1``. Once at
     most ``1/_FEW`` of the rows folded are live, the fold goes on over the
     live rows alone, and the rows it leaves get no later ids. Returns the
-    last ids, their bound, the rows they number (``None`` for all of them)
-    and each row's death depth (``m + 1`` for a prefix fold, 0 for a suffix
-    fold, where none was seen).
+    last ids, their bound, the rows they number (a slice of all of them, or
+    an index array once a step has pruned) and each row's death depth
+    (``m + 1`` for a prefix fold, 0 for a suffix fold, where none was seen).
     """
     m, n = codes.shape
-    rows, t = None, treated
+    rows, t = slice(None), treated
     ids, bound = np.zeros(n, dtype=np.int64), 1
     tested, passed = [], np.zeros(n, dtype=np.min_scalar_type(m + 1))  # per row: the arm tests it passed
     for k in range(m - 1, -1, -1) if suffix else range(m):
-        col, h = (codes[k] if rows is None else np.take(codes[k], rows)), int(arities[k])
+        col, h = codes[k][rows], int(arities[k])
         ids, bound = _pair_ids(col, h, ids, bound) if suffix else _pair_ids(ids, bound, col, h)
         if block is not None:
             row = k if suffix else k + 1
             bounds[row] = bound
-            if rows is None:
-                block[row] = ids
-            else:
-                block[row][rows] = ids
+            block[row][rows] = ids
         if bound * _SMALL_GROUPS < ids.size:
             continue
         armed = _armed(ids, bound, t)
         tested.append(k + 1)
-        if rows is None:
-            passed += armed
-        else:
-            passed[rows] += armed
+        passed[rows] += armed
         # index arrays, not the mask: masked selection branches on every row
         live = np.flatnonzero(armed)
         if live.size * _FEW <= ids.size:
-            rows = live if rows is None else rows[live]
+            rows = live if isinstance(rows, slice) else rows[live]
             ids, t = ids[live], t[live]
     # a row dies at the first arm test it fails
     death = np.take(np.array([*tested, 0 if suffix else m + 1], dtype=passed.dtype), passed)
@@ -246,19 +248,15 @@ class DropOneRanks:
 def drop_one_ranks(d: Dataset, considered, active) -> DropOneRanks:
     """Prefix and suffix ranks of ``active`` over ``considered``, for scoring every single-covariate drop.
 
-    Built by two :func:`_fold` sweeps of one ``(m, n)`` gather of the stored
-    codes, in O(n) per covariate and sweep unless a step renumbers wide ids;
-    the prefix sweep folds all but the last column and the suffix sweep all
-    but the first, and a sweep goes on over fewer rows as their groups turn
+    Built by two :func:`_fold` sweeps of the pool's :func:`_pool` code block,
+    in O(n) per covariate and sweep unless a step renumbers wide ids; the
+    prefix sweep folds all but the last column and the suffix sweep all but
+    the first, and a sweep goes on over fewer rows as their groups turn
     one-armed. Pass the result to :func:`match_flags` with the same
     ``considered`` rows and the index of the covariate to drop.
     """
-    considered = np.asarray(considered, dtype=np.int64)
-    active = check_active(active, d.n_covariates)
-    codes = np.take(d.covariates.T[list(active)], considered, axis=1)
-    arities = d.arities[list(active)]
+    _, active, codes, arities, treated = _pool(d, considered, active)
     m, n = codes.shape
-    treated = d.treatment[considered]
     prefix = np.zeros((m, n), dtype=np.min_scalar_type(n))
     suffix = np.zeros(prefix.shape, prefix.dtype)
     prefix_bounds, suffix_bounds = [1] * m, [1] * m
@@ -383,9 +381,8 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
     are members of surviving groups, in row order. Both backends return the
     identical :class:`GroupTable`.
     """
-    considered = np.asarray(considered, dtype=np.int64)
-    active = check_active(active, d.n_covariates)
     if backend == "tuple_key":
+        considered, active = np.asarray(considered, dtype=np.int64), check_active(active, d.n_covariates)
         buckets: dict[tuple, list[int]] = {}
         codes = d.covariates[considered][:, active].tolist()
         for pos, sig in zip(considered.tolist(), codes):
@@ -396,11 +393,10 @@ def basic_exact_match(d: Dataset, considered, active, backend: str = "mixed_radi
         sizes = np.array([len(rows) for _, rows in groups], dtype=np.int64)
         treated = np.array([d.treatment[rows].sum() for _, rows in groups], dtype=np.int64)
     elif backend == "mixed_radix":
-        codes = np.take(d.covariates.T[list(active)], considered, axis=1)
-        gid, n_groups, rows, _ = _fold(codes, d.arities[list(active)], d.treatment[considered])
-        if rows is not None:  # the rows the fold set aside are in no valid group
-            considered = considered[rows]
-        sizes, treated, valid = _arm_counts(gid, n_groups, d.treatment[considered])
+        considered, active, codes, arities, t = _pool(d, considered, active)
+        gid, n_groups, rows, _ = _fold(codes, arities, t)
+        considered = considered[rows]  # the rows the fold set aside are in no valid group
+        sizes, treated, valid = _arm_counts(gid, n_groups, t[rows])
         flags = valid[gid]
         # a stable sort of the hit ids lists each group's rows in considered
         # order, and the groups themselves in signature order

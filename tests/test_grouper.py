@@ -145,6 +145,7 @@ def _tables_equal(d, a, b):
 
 def test_backend_equivalence_random():
     rng = np.random.default_rng(42)
+    shuffle = np.random.default_rng(43)  # its own stream, so the shuffles leave the dataset draws alone
     for _ in range(50):
         d = random_dataset(rng)
         p = d.n_covariates
@@ -157,6 +158,14 @@ def test_backend_equivalence_random():
         assert np.array_equal(res_a.matched, res_b.matched)
         if len(active) >= 2:
             _check_every_drop(d, considered, active)
+        # unsorted rows, as a list and as int32, through the pool gather both backends and the sweeps share
+        shuffled = shuffle.permutation(considered)
+        for rows in (shuffled.tolist(), shuffled.astype(np.int32)):
+            res_a = basic_exact_match(d, rows, active, backend="mixed_radix")
+            res_b = basic_exact_match(d, rows, active, backend="tuple_key")
+            assert _tables_equal(d, res_a.table, res_b.table)
+            if len(active) >= 2:
+                _check_every_drop(d, rows, active)
 
 
 def test_big_key_fallback_matches_tuple_backend():
